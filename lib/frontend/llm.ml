@@ -16,690 +16,13 @@ type built = {
   precision : precision;
 }
 
-let dt = Base.Dtype.F16
-let c = E.const
-
-(* A linear layer's weights: one f16 matrix, or packed data + scales. *)
-type weight = Full of Rvar.t | Packed of { wdata : Rvar.t; wscale : Rvar.t; k : int; n : int }
-
-(* Parameter declaration: models declare all parameters up front and
-   receive accessor indices into the parameter array. *)
-type decl = { mutable specs : (string * Struct_info.t) list }
-
-let declare d name sinfo =
-  let i = List.length d.specs in
-  d.specs <- d.specs @ [ (name, sinfo) ];
-  i
-
-let ceil_div a b = (a + b - 1) / b
-
-let declare_linear d precision ~name ~k ~n =
-  match precision with
-  | F16 -> `One (declare d name (Struct_info.tensor [ c k; c n ] dt))
-  | Q4 ->
-      `Two
-        ( declare d (name ^ "_data")
-            (Struct_info.Tensor
-               {
-                 shape = Known [ c k; c (ceil_div n 8) ];
-                 dtype = Some Base.Dtype.U32;
-               }),
-          declare d (name ^ "_scale")
-            (Struct_info.tensor [ c k; c (ceil_div n 32) ] dt),
-          k,
-          n )
-  | Q3 ->
-      `Two
-        ( declare d (name ^ "_data")
-            (Struct_info.Tensor
-               {
-                 shape = Known [ c k; c (ceil_div n 10) ];
-                 dtype = Some Base.Dtype.U32;
-               }),
-          declare d (name ^ "_scale")
-            (Struct_info.tensor [ c k; c (ceil_div n 32) ] dt),
-          k,
-          n )
-
-(* Shared kernel cache so every layer reuses the same tensor programs. *)
-type kernels = {
-  decode_cache : (int * int, Tir.Prim_func.t) Hashtbl.t;
-      (** (k, n) -> quantized weight decode kernel *)
-}
-
-let weight_of params precision spec =
-  match spec with
-  | `One i -> Full (List.nth params i)
-  | `Two (di, si, k, n) ->
-      ignore precision;
-      Packed { wdata = List.nth params di; wscale = List.nth params si; k; n }
-
-let linear b kernels precision x w =
-  match w with
-  | Full wv -> Builder.emit b (Expr.call_op "matmul" [ x; Expr.Var wv ])
-  | Packed { wdata; wscale; k; n } ->
-      let kernel =
-        match Hashtbl.find_opt kernels.decode_cache (k, n) with
-        | Some kf -> kf
-        | None ->
-            let name =
-              match precision with Q3 -> "decode_q3" | _ -> "decode_q4"
-            in
-            let gen =
-              match precision with
-              | Q3 -> Tir.Kernels.decode_q3
-              | Q4 | F16 -> Tir.Kernels.decode_q4
-            in
-            let kf = gen ~name ~k:(c k) ~n:(c n) dt in
-            Hashtbl.replace kernels.decode_cache (k, n) kf;
-            kf
-      in
-      let w_full =
-        Builder.emit_call_tir b kernel
-          [ Expr.Var wdata; Expr.Var wscale ]
-          ~out:(Struct_info.tensor [ c k; c n ] dt)
-          ()
-      in
-      Builder.emit b (Expr.call_op "matmul" [ x; Expr.Var w_full ])
-
-(* Broadcast-add a projection bias when the model has one. *)
-let add_bias b params bias_idx v =
-  match bias_idx with
-  | None -> v
-  | Some i ->
-      Builder.emit b
-        (Expr.call_op "add" [ Expr.Var v; Expr.Var (List.nth params i) ])
-
-let norm_weights d (cfg : Configs.t) name =
-  match cfg.Configs.norm with
-  | Configs.Rms -> `Rms (declare d name (Struct_info.tensor [ c cfg.Configs.hidden ] dt))
-  | Configs.Layer ->
-      `Layer
-        ( declare d (name ^ "_g") (Struct_info.tensor [ c cfg.Configs.hidden ] dt),
-          declare d (name ^ "_b") (Struct_info.tensor [ c cfg.Configs.hidden ] dt) )
-
-let apply_norm b params spec x =
-  match spec with
-  | `Rms i -> Builder.emit b (Expr.call_op "rms_norm" [ x; Expr.Var (List.nth params i) ])
-  | `Layer (gi, bi) ->
-      Builder.emit b
-        (Expr.call_op "layer_norm"
-           [ x; Expr.Var (List.nth params gi); Expr.Var (List.nth params bi) ])
-
-let apply_act b (cfg : Configs.t) x =
-  let op = match cfg.Configs.act with Configs.Silu -> "silu" | Configs.Gelu -> "gelu" in
-  Builder.emit b (Expr.call_op op [ x ])
-
-type layer_weights = {
-  attn_norm : [ `Rms of int | `Layer of int * int ];
-  wq : [ `One of int | `Two of int * int * int * int ];
-  wk : [ `One of int | `Two of int * int * int * int ];
-  wv : [ `One of int | `Two of int * int * int * int ];
-  qkv_biases : (int * int * int) option;
-      (** Qwen2-style projection biases (q, k, v) *)
-  wo : [ `One of int | `Two of int * int * int * int ];
-  ffn_norm : [ `Rms of int | `Layer of int * int ];
-  w_gate : [ `One of int | `Two of int * int * int * int ] option;
-  w_up : [ `One of int | `Two of int * int * int * int ];
-  w_down : [ `One of int | `Two of int * int * int * int ];
-}
-
-let declare_layer d (cfg : Configs.t) precision l =
-  let h = cfg.Configs.hidden in
-  let qd = cfg.Configs.heads * cfg.Configs.head_dim in
-  let kvd = cfg.Configs.kv_heads * cfg.Configs.head_dim in
-  let pre name = Printf.sprintf "l%d_%s" l name in
-  {
-    attn_norm = norm_weights d cfg (pre "attn_norm");
-    wq = declare_linear d precision ~name:(pre "wq") ~k:h ~n:qd;
-    wk = declare_linear d precision ~name:(pre "wk") ~k:h ~n:kvd;
-    wv = declare_linear d precision ~name:(pre "wv") ~k:h ~n:kvd;
-    qkv_biases =
-      (if cfg.Configs.qkv_bias then
-         Some
-           ( declare d (pre "bq") (Struct_info.tensor [ c qd ] dt),
-             declare d (pre "bk") (Struct_info.tensor [ c kvd ] dt),
-             declare d (pre "bv") (Struct_info.tensor [ c kvd ] dt) )
-       else None);
-    wo = declare_linear d precision ~name:(pre "wo") ~k:qd ~n:h;
-    ffn_norm = norm_weights d cfg (pre "ffn_norm");
-    w_gate =
-      (match cfg.Configs.mlp with
-      | Configs.Gated ->
-          Some (declare_linear d precision ~name:(pre "w_gate") ~k:h ~n:cfg.Configs.inter)
-      | Configs.Plain -> None);
-    w_up = declare_linear d precision ~name:(pre "w_up") ~k:h ~n:cfg.Configs.inter;
-    w_down = declare_linear d precision ~name:(pre "w_down") ~k:cfg.Configs.inter ~n:h;
-  }
-
-let mlp_block b kernels precision cfg params lw x =
-  match lw.w_gate with
-  | Some gate_spec ->
-      let g =
-        linear b kernels precision x (weight_of params precision gate_spec)
-      in
-      let u = linear b kernels precision x (weight_of params precision lw.w_up) in
-      let a = apply_act b cfg (Expr.Var g) in
-      let m = Builder.emit b (Expr.call_op "multiply" [ Expr.Var a; Expr.Var u ]) in
-      linear b kernels precision (Expr.Var m) (weight_of params precision lw.w_down)
-  | None ->
-      let u = linear b kernels precision x (weight_of params precision lw.w_up) in
-      let a = apply_act b cfg (Expr.Var u) in
-      linear b kernels precision (Expr.Var a) (weight_of params precision lw.w_down)
-
-(* ---------- decode step ---------- *)
-
-let decode_gen (cfg : Configs.t) ~(bb : E.t) ~batch ~batch_var ~return_caches precision =
-  let m_var = Arith.Var.fresh "m" in
-  let m = E.var m_var in
-  let h = cfg.Configs.hidden in
-  let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-  let d = cfg.Configs.head_dim in
-  let decl = { specs = [] } in
-  let ids_i =
-    declare decl "ids"
-      (Struct_info.Tensor { shape = Known [ bb ]; dtype = Some Base.Dtype.I32 })
-  in
-  let cache_is =
-    List.init cfg.Configs.layers (fun l ->
-        let ksi =
-          declare decl
-            (Printf.sprintf "k_cache_%d" l)
-            (Struct_info.tensor [ bb; c kv; m; c d ] dt)
-        in
-        let vsi =
-          declare decl
-            (Printf.sprintf "v_cache_%d" l)
-            (Struct_info.tensor [ bb; c kv; m; c d ] dt)
-        in
-        (ksi, vsi))
-  in
-  let emb_i =
-    declare decl "embedding" (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-  in
-  let layer_ws = List.init cfg.Configs.layers (declare_layer decl cfg precision) in
-  let final_norm = norm_weights decl cfg "final_norm" in
-  let lm_head = declare_linear decl precision ~name:"lm_head" ~k:h ~n:cfg.Configs.vocab in
-  let kernels = { decode_cache = Hashtbl.create 8 } in
-  let rope_q =
-    Attention.rope_decode ~name:"rope_q" ~batch:bb ~heads ~head_dim:d
-      ~pos:(Arith.Var.fresh "pos") dt
-  in
-  let rope_k =
-    Attention.rope_decode ~name:"rope_k" ~batch:bb ~heads:kv ~head_dim:d
-      ~pos:(Arith.Var.fresh "pos") dt
-  in
-  let append_kernel =
-    Attention.kv_append ~name:"kv_append" ~batch:bb ~kv_heads:kv ~head_dim:d
-      ~m:(E.var (Arith.Var.fresh "mc")) dt
-  in
-  let attn_kernel =
-    Attention.decode ~name:"attention_decode" ~batch:bb ~heads ~kv_heads:kv
-      ~head_dim:d ~m:(E.var (Arith.Var.fresh "ma")) dt
-  in
-  let b = Builder.create () in
-  Builder.function_ b ~name:"decode" ~params:decl.specs (fun params ->
-      Builder.dataflow b (fun () ->
-          let p i = Expr.Var (List.nth params i) in
-          let x =
-            ref
-              (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ]))
-          in
-          let new_caches = ref [] in
-          List.iteri
-            (fun l lw ->
-              let ksi, vsi = List.nth cache_is l in
-              let hin = apply_norm b params lw.attn_norm (Expr.Var !x) in
-              let bq, bk, bv =
-                match lw.qkv_biases with
-                | Some (a, b_, c_) -> (Some a, Some b_, Some c_)
-                | None -> (None, None, None)
-              in
-              let q =
-                add_bias b params bq
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wq))
-              in
-              let k =
-                add_bias b params bk
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wk))
-              in
-              let v =
-                add_bias b params bv
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wv))
-              in
-              let q4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var q; Expr.Shape_expr [ bb; c heads; c 1; c d ] ])
-              in
-              let k4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var k; Expr.Shape_expr [ bb; c kv; c 1; c d ] ])
-              in
-              let v4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var v; Expr.Shape_expr [ bb; c kv; c 1; c d ] ])
-              in
-              let qr =
-                Builder.emit_call_tir b rope_q [ Expr.Var q4 ]
-                  ~out:(Struct_info.tensor [ bb; c heads; c 1; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let kr =
-                Builder.emit_call_tir b rope_k [ Expr.Var k4 ]
-                  ~out:(Struct_info.tensor [ bb; c kv; c 1; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let kc' =
-                Builder.emit_call_tir b append_kernel
-                  [ p ksi; Expr.Var kr ]
-                  ~out:(Struct_info.tensor [ bb; c kv; E.add m (c 1); c d ] dt)
-                  ()
-              in
-              let vc' =
-                Builder.emit_call_tir b append_kernel
-                  [ p vsi; Expr.Var v4 ]
-                  ~out:(Struct_info.tensor [ bb; c kv; E.add m (c 1); c d ] dt)
-                  ()
-              in
-              let at =
-                Builder.emit_call_tir b attn_kernel
-                  [ Expr.Var qr; Expr.Var kc'; Expr.Var vc' ]
-                  ~out:(Struct_info.tensor [ bb; c heads; c 1; c d ] dt)
-                  ()
-              in
-              let at2 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var at; Expr.Shape_expr [ bb; c (heads * d) ] ])
-              in
-              let o =
-                linear b kernels precision (Expr.Var at2)
-                  (weight_of params precision lw.wo)
-              in
-              let x1 =
-                Builder.emit b (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ])
-              in
-              let h2 = apply_norm b params lw.ffn_norm (Expr.Var x1) in
-              let dn = mlp_block b kernels precision cfg params lw (Expr.Var h2) in
-              let x2 =
-                Builder.emit b (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ])
-              in
-              x := x2;
-              new_caches := !new_caches @ [ kc'; vc' ])
-            layer_ws;
-          let xf = apply_norm b params final_norm (Expr.Var !x) in
-          let logits =
-            linear b kernels precision (Expr.Var xf)
-              (weight_of params precision lm_head)
-          in
-          if return_caches then
-            Expr.Tuple
-              (Expr.Var logits :: List.map (fun v -> Expr.Var v) !new_caches)
-          else Expr.Var logits))
-  ;
-  {
-    mod_ = Builder.module_ b;
-    entry = "decode";
-    ctx_var = m_var;
-    batch_var;
-    params = decl.specs;
-    config = cfg;
-    batch;
-    precision;
-  }
-
-let decode ?(return_caches = true) (cfg : Configs.t) ~batch precision =
-  decode_gen cfg ~bb:(c batch) ~batch ~batch_var:None ~return_caches precision
-
-let decode_symbolic_batch ?(return_caches = true) ?(max_batch = 64)
-    (cfg : Configs.t) precision =
-  let bv = Arith.Var.fresh "b" in
-  let built =
-    decode_gen cfg ~bb:(E.var bv) ~batch:max_batch ~batch_var:(Some bv)
-      ~return_caches precision
-  in
-  { built with batch_var = Some bv }
-
-(* ---------- paged-cache decode (extension) ---------- *)
-
-let decode_paged (cfg : Configs.t) ~batch precision =
-  let m_var = Arith.Var.fresh "m" in
-  let m = E.var m_var in
-  let bb = c batch in
-  let h = cfg.Configs.hidden in
-  let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-  let d = cfg.Configs.head_dim in
-  let mmax = c cfg.Configs.max_context in
-  let decl = { specs = [] } in
-  let ids_i =
-    declare decl "ids"
-      (Struct_info.Tensor { shape = Known [ bb ]; dtype = Some Base.Dtype.I32 })
-  in
-  let len_i = declare decl "cur_len" (Struct_info.shape [ m ]) in
-  let cache_is =
-    (* Sequenced lets: a tuple of two [declare] calls would evaluate
-       right-to-left and register v_cache before k_cache, silently
-       crossing the positional (k, v, k, v, ...) argument convention
-       every caller of this program relies on. *)
-    List.init cfg.Configs.layers (fun l ->
-        let ksi =
-          declare decl
-            (Printf.sprintf "k_cache_%d" l)
-            (Struct_info.tensor [ bb; c kv; mmax; c d ] dt)
-        in
-        let vsi =
-          declare decl
-            (Printf.sprintf "v_cache_%d" l)
-            (Struct_info.tensor [ bb; c kv; mmax; c d ] dt)
-        in
-        (ksi, vsi))
-  in
-  let emb_i =
-    declare decl "embedding" (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-  in
-  let layer_ws = List.init cfg.Configs.layers (declare_layer decl cfg precision) in
-  let final_norm = norm_weights decl cfg "final_norm" in
-  let lm_head = declare_linear decl precision ~name:"lm_head" ~k:h ~n:cfg.Configs.vocab in
-  let kernels = { decode_cache = Hashtbl.create 8 } in
-  let rope_q =
-    Attention.rope_decode ~name:"rope_q" ~batch:bb ~heads ~head_dim:d
-      ~pos:(Arith.Var.fresh "pos") dt
-  in
-  let rope_k =
-    Attention.rope_decode ~name:"rope_k" ~batch:bb ~heads:kv ~head_dim:d
-      ~pos:(Arith.Var.fresh "pos") dt
-  in
-  let write_kernel =
-    Attention.kv_write ~name:"kv_write" ~batch:bb ~kv_heads:kv ~head_dim:d
-      ~max_ctx:mmax ~pos:(Arith.Var.fresh "wpos") dt
-  in
-  let attn_kernel =
-    Attention.decode_paged ~name:"attention_paged" ~batch:bb ~heads
-      ~kv_heads:kv ~head_dim:d ~max_ctx:mmax ~len:(Arith.Var.fresh "alen") dt
-  in
-  let b = Builder.create () in
-  Builder.function_ b ~name:"decode" ~params:decl.specs (fun params ->
-      Builder.dataflow b (fun () ->
-          let p i = Expr.Var (List.nth params i) in
-          ignore (p len_i);
-          let x =
-            ref (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ]))
-          in
-          List.iteri
-            (fun l lw ->
-              let ksi, vsi = List.nth cache_is l in
-              let hin = apply_norm b params lw.attn_norm (Expr.Var !x) in
-              let bq, bk, bv =
-                match lw.qkv_biases with
-                | Some (a, b_, c_) -> (Some a, Some b_, Some c_)
-                | None -> (None, None, None)
-              in
-              let q =
-                add_bias b params bq
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wq))
-              in
-              let k =
-                add_bias b params bk
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wk))
-              in
-              let v =
-                add_bias b params bv
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wv))
-              in
-              let q4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var q; Expr.Shape_expr [ bb; c heads; c 1; c d ] ])
-              in
-              let k4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var k; Expr.Shape_expr [ bb; c kv; c 1; c d ] ])
-              in
-              let v4 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var v; Expr.Shape_expr [ bb; c kv; c 1; c d ] ])
-              in
-              let qr =
-                Builder.emit_call_tir b rope_q [ Expr.Var q4 ]
-                  ~out:(Struct_info.tensor [ bb; c heads; c 1; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let kr =
-                Builder.emit_call_tir b rope_k [ Expr.Var k4 ]
-                  ~out:(Struct_info.tensor [ bb; c kv; c 1; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let kc =
-                Builder.emit_call_tir_inplace b write_kernel
-                  [ Expr.Var kr; p ksi ]
-                  ~out_index:1
-                  ~out:(Struct_info.tensor [ bb; c kv; mmax; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let vc =
-                Builder.emit_call_tir_inplace b write_kernel
-                  [ Expr.Var v4; p vsi ]
-                  ~out_index:1
-                  ~out:(Struct_info.tensor [ bb; c kv; mmax; c d ] dt)
-                  ~sym_args:[ m ] ()
-              in
-              let at =
-                Builder.emit_call_tir b attn_kernel
-                  [ Expr.Var qr; Expr.Var kc; Expr.Var vc ]
-                  ~out:(Struct_info.tensor [ bb; c heads; c 1; c d ] dt)
-                  ~sym_args:[ E.add m (c 1) ] ()
-              in
-              let at2 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var at; Expr.Shape_expr [ bb; c (heads * d) ] ])
-              in
-              let o =
-                linear b kernels precision (Expr.Var at2)
-                  (weight_of params precision lw.wo)
-              in
-              let x1 = Builder.emit b (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ]) in
-              let h2 = apply_norm b params lw.ffn_norm (Expr.Var x1) in
-              let dn = mlp_block b kernels precision cfg params lw (Expr.Var h2) in
-              let x2 = Builder.emit b (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ]) in
-              x := x2)
-            layer_ws;
-          let xf = apply_norm b params final_norm (Expr.Var !x) in
-          let logits =
-            linear b kernels precision (Expr.Var xf)
-              (weight_of params precision lm_head)
-          in
-          Expr.Var logits));
-  {
-    mod_ = Builder.module_ b;
-    entry = "decode";
-    ctx_var = m_var;
-    batch_var = None;
-    params = decl.specs;
-    config = cfg;
-    batch;
-    precision;
-  }
-
-(* ---------- prefill (batch 1) ----------- *)
-
-(* Copy the last row: lets prefill return (1, vocab) logits instead of
-   materializing the full (n, vocab) matrix. *)
-let last_row_kernel ~n ~width dtype =
-  let x = Tir.Buffer.create "X" [ n; width ] dtype in
-  let y = Tir.Buffer.create "Y" [ c 1; width ] dtype in
-  let j = Arith.Var.fresh "j" in
-  let body =
-    Tir.Stmt.for_ j width
-      (Tir.Stmt.Store
-         ( y,
-           [ Tir.Texpr.i 0; Tir.Texpr.iv j ],
-           Tir.Texpr.load x [ E.sub n (c 1); E.var j ] ))
-  in
-  Tir.Prim_func.create ~name:"last_row" ~params:[ x; y ] body
-
-let prefill ?(return_caches = true) (cfg : Configs.t) precision =
-  let n_var = Arith.Var.fresh "n" in
-  let n = E.var n_var in
-  let h = cfg.Configs.hidden in
-  let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-  let d = cfg.Configs.head_dim in
-  let decl = { specs = [] } in
-  let ids_i =
-    declare decl "ids"
-      (Struct_info.Tensor { shape = Known [ n ]; dtype = Some Base.Dtype.I32 })
-  in
-  let emb_i =
-    declare decl "embedding" (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-  in
-  let layer_ws = List.init cfg.Configs.layers (declare_layer decl cfg precision) in
-  let final_norm = norm_weights decl cfg "final_norm" in
-  let lm_head = declare_linear decl precision ~name:"lm_head" ~k:h ~n:cfg.Configs.vocab in
-  let kernels = { decode_cache = Hashtbl.create 8 } in
-  let rope_q = Attention.rope_prefill ~name:"rope_prefill_q" ~heads ~head_dim:d ~n dt in
-  let rope_k = Attention.rope_prefill ~name:"rope_prefill_k" ~heads:kv ~head_dim:d ~n dt in
-  let attn_kernel =
-    Attention.prefill ~name:"attention_prefill" ~heads ~kv_heads:kv ~head_dim:d
-      ~n:(E.var (Arith.Var.fresh "na")) dt
-  in
-  let lrk = last_row_kernel ~n:(E.var (Arith.Var.fresh "nl")) ~width:(c h) dt in
-  let to_heads b v ~count =
-    (* (n, count*d) -> (count, n, d) *)
-    let r3 =
-      Builder.emit b
-        (Expr.call_op "reshape"
-           [ Expr.Var v; Expr.Shape_expr [ n; c count; c d ] ])
-    in
-    Builder.emit b
-      (Expr.call_op "permute_dims"
-         [ Expr.Var r3; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
-  in
-  let b = Builder.create () in
-  Builder.function_ b ~name:"prefill" ~params:decl.specs (fun params ->
-      Builder.dataflow b (fun () ->
-          let p i = Expr.Var (List.nth params i) in
-          let x = ref (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ])) in
-          let caches = ref [] in
-          List.iter
-            (fun lw ->
-              let hin = apply_norm b params lw.attn_norm (Expr.Var !x) in
-              let bq, bk, bv =
-                match lw.qkv_biases with
-                | Some (a, b_, c_) -> (Some a, Some b_, Some c_)
-                | None -> (None, None, None)
-              in
-              let q =
-                add_bias b params bq
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wq))
-              in
-              let k =
-                add_bias b params bk
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wk))
-              in
-              let v =
-                add_bias b params bv
-                  (linear b kernels precision (Expr.Var hin)
-                     (weight_of params precision lw.wv))
-              in
-              let qh = to_heads b q ~count:heads in
-              let kh = to_heads b k ~count:kv in
-              let vh = to_heads b v ~count:kv in
-              let qr =
-                Builder.emit_call_tir b rope_q [ Expr.Var qh ]
-                  ~out:(Struct_info.tensor [ c heads; n; c d ] dt)
-                  ()
-              in
-              let kr =
-                Builder.emit_call_tir b rope_k [ Expr.Var kh ]
-                  ~out:(Struct_info.tensor [ c kv; n; c d ] dt)
-                  ()
-              in
-              let at =
-                Builder.emit_call_tir b attn_kernel
-                  [ Expr.Var qr; Expr.Var kr; Expr.Var vh ]
-                  ~out:(Struct_info.tensor [ c heads; n; c d ] dt)
-                  ()
-              in
-              (* (heads, n, d) -> (n, heads*d) *)
-              let atp =
-                Builder.emit b
-                  (Expr.call_op "permute_dims"
-                     [ Expr.Var at; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
-              in
-              let at2 =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var atp; Expr.Shape_expr [ n; c (heads * d) ] ])
-              in
-              let o =
-                linear b kernels precision (Expr.Var at2)
-                  (weight_of params precision lw.wo)
-              in
-              let x1 = Builder.emit b (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ]) in
-              let h2 = apply_norm b params lw.ffn_norm (Expr.Var x1) in
-              let dn = mlp_block b kernels precision cfg params lw (Expr.Var h2) in
-              let x2 = Builder.emit b (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ]) in
-              x := x2;
-              (* caches for subsequent decode: (1, kv, n, d) *)
-              let kc =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var kr; Expr.Shape_expr [ c 1; c kv; n; c d ] ])
-              in
-              let vc =
-                Builder.emit b
-                  (Expr.call_op "reshape"
-                     [ Expr.Var vh; Expr.Shape_expr [ c 1; c kv; n; c d ] ])
-              in
-              caches := !caches @ [ kc; vc ])
-            layer_ws;
-          let last =
-            Builder.emit_call_tir b lrk [ Expr.Var !x ]
-              ~out:(Struct_info.tensor [ c 1; c h ] dt)
-              ()
-          in
-          let xf = apply_norm b params final_norm (Expr.Var last) in
-          let logits =
-            linear b kernels precision (Expr.Var xf)
-              (weight_of params precision lm_head)
-          in
-          if return_caches then
-            Expr.Tuple
-              (Expr.Var logits :: List.map (fun v -> Expr.Var v) !caches)
-          else Expr.Var logits))
-  ;
-  {
-    mod_ = Builder.module_ b;
-    entry = "prefill";
-    ctx_var = n_var;
-    batch_var = None;
-    params = decl.specs;
-    config = cfg;
-    batch = 1;
-    precision;
-  }
-
-(* ---------- tensor-parallel sharded builders (DESIGN.md §13) ---------- *)
-
-(* One Relax module, unrolled over [tp] shards: shard s's weights are
-   contiguous column (or row) slices of the full model's matrices and
-   its bindings are named "g<s>:...", which To_vm threads through as
-   provenance so the profiler can attribute work per simulated device.
-   Explicit ccl.* collectives stitch the shards back together; they
-   are charged from the device interconnect (Device.link).
+(* Tensor parallelism (DESIGN.md §13). One Relax module, unrolled over
+   [tp] shards: shard s's weights are contiguous column (or row) slices
+   of the full model's matrices and its bindings are named "g<s>:...",
+   which To_vm threads through as provenance so the profiler can
+   attribute work per simulated device. Explicit ccl.* collectives
+   stitch the shards back together; they are charged from the device
+   interconnect (Device.link).
 
    The default Gather strategy only ever concatenates shard outputs
    (all-gather), so results are bit-identical to the unsharded model:
@@ -736,668 +59,584 @@ let check_tp fn (cfg : Configs.t) ~tp =
           must divide, qkv_bias unsupported)"
          fn cfg.Configs.name tp)
 
-(* TP=1 degenerates to the unsharded builder: every weight maps to the
-   full-model parameter of the same name. *)
-let trivial_srcs (b : built) =
-  let prefixed pre nm =
-    String.length nm >= String.length pre
-    && String.sub nm 0 (String.length pre) = pre
-  in
-  List.map
-    (fun (nm, _) ->
-      if
-        nm = "ids" || nm = "cur_len" || prefixed "k_cache" nm
-        || prefixed "v_cache" nm
-      then Sh_input nm
-      else Sh_replicated nm)
-    b.params
+let dt = Base.Dtype.F16
+let c = E.const
 
-(* Declaration wrapper threading a shard-source alongside each param. *)
-type tp_decl = { d : decl; mutable rev_srcs : shard_src list }
+(* ---------- parameter declaration ---------- *)
 
-let tdeclare td src name sinfo =
-  let i = declare td.d name sinfo in
-  td.rev_srcs <- src :: td.rev_srcs;
-  i
-
-let tp_norm td (cfg : Configs.t) name =
-  let h = cfg.Configs.hidden in
-  match cfg.Configs.norm with
-  | Configs.Rms ->
-      `Rms (tdeclare td (Sh_replicated name) name (Struct_info.tensor [ c h ] dt))
-  | Configs.Layer ->
-      `Layer
-        ( tdeclare td
-            (Sh_replicated (name ^ "_g"))
-            (name ^ "_g")
-            (Struct_info.tensor [ c h ] dt),
-          tdeclare td
-            (Sh_replicated (name ^ "_b"))
-            (name ^ "_b")
-            (Struct_info.tensor [ c h ] dt) )
-
-(* A shard's slice of the full-model matrix [src]: contiguous block
-   [shard] of [tp] along [axis], declared as an own parameter. *)
-let tp_mat td ~src ~axis ~shard ~tp ~k ~n =
-  tdeclare td
-    (Sh_sliced { src; axis; shard; tp })
-    (Printf.sprintf "g%d:%s" shard src)
-    (Struct_info.tensor [ c k; c n ] dt)
-
-type tp_layer = {
-  t_attn_norm : [ `Rms of int | `Layer of int * int ];
-  t_wq : int list;
-  t_wk : int list;
-  t_wv : int list;
-  t_wo : int list;
-  t_ffn_norm : [ `Rms of int | `Layer of int * int ];
-  t_w_gate : int list option;
-  t_w_up : int list;
-  t_w_down : int list;
+(* Models declare all parameters up front and receive indices into the
+   parameter array. Each parameter also records where its value comes
+   from in terms of the full (TP=1) model's parameters. *)
+type decl = {
+  mutable count : int;
+  mutable rev_specs : (string * Struct_info.t) list;
+  mutable rev_srcs : shard_src list;
 }
 
-let tp_declare_layer td (cfg : Configs.t) ~tp ~strategy l =
-  let h = cfg.Configs.hidden in
-  let d = cfg.Configs.head_dim in
-  let hs = cfg.Configs.heads / tp and kvs = cfg.Configs.kv_heads / tp in
-  let is_ = cfg.Configs.inter / tp and os = h / tp in
-  let pre name = Printf.sprintf "l%d_%s" l name in
-  let attn_norm = tp_norm td cfg (pre "attn_norm") in
-  let wq =
-    List.init tp (fun s ->
-        tp_mat td ~src:(pre "wq") ~axis:1 ~shard:s ~tp ~k:h ~n:(hs * d))
-  in
-  let wk =
-    List.init tp (fun s ->
-        tp_mat td ~src:(pre "wk") ~axis:1 ~shard:s ~tp ~k:h ~n:(kvs * d))
-  in
-  let wv =
-    List.init tp (fun s ->
-        tp_mat td ~src:(pre "wv") ~axis:1 ~shard:s ~tp ~k:h ~n:(kvs * d))
-  in
-  let wo =
-    match strategy with
-    | Gather ->
-        List.init tp (fun s ->
-            tp_mat td ~src:(pre "wo") ~axis:1 ~shard:s ~tp
-              ~k:(cfg.Configs.heads * d) ~n:os)
-    | Reduce ->
-        List.init tp (fun s ->
-            tp_mat td ~src:(pre "wo") ~axis:0 ~shard:s ~tp ~k:(hs * d) ~n:h)
-  in
-  let ffn_norm = tp_norm td cfg (pre "ffn_norm") in
-  let w_gate =
-    match cfg.Configs.mlp with
-    | Configs.Gated ->
-        Some
-          (List.init tp (fun s ->
-               tp_mat td ~src:(pre "w_gate") ~axis:1 ~shard:s ~tp ~k:h ~n:is_))
-    | Configs.Plain -> None
-  in
-  let w_up =
-    List.init tp (fun s ->
-        tp_mat td ~src:(pre "w_up") ~axis:1 ~shard:s ~tp ~k:h ~n:is_)
-  in
-  let w_down =
-    match strategy with
-    | Gather ->
-        List.init tp (fun s ->
-            tp_mat td ~src:(pre "w_down") ~axis:1 ~shard:s ~tp
-              ~k:cfg.Configs.inter ~n:os)
-    | Reduce ->
-        List.init tp (fun s ->
-            tp_mat td ~src:(pre "w_down") ~axis:0 ~shard:s ~tp ~k:is_ ~n:h)
-  in
-  {
-    t_attn_norm = attn_norm;
-    t_wq = wq;
-    t_wk = wk;
-    t_wv = wv;
-    t_wo = wo;
-    t_ffn_norm = ffn_norm;
-    t_w_gate = w_gate;
-    t_w_up = w_up;
-    t_w_down = w_down;
-  }
+let declare d src name sinfo =
+  let i = d.count in
+  d.count <- i + 1;
+  d.rev_specs <- (name, sinfo) :: d.rev_specs;
+  d.rev_srcs <- src :: d.rev_srcs;
+  i
 
-let gname s fmt = Printf.ksprintf (fun t -> Printf.sprintf "g%d:%s" s t) fmt
+let input d name sinfo = declare d (Sh_input name) name sinfo
+let replicated d name sinfo = declare d (Sh_replicated name) name sinfo
 
-(* Shard-parallel MLP + output projection shared by decode_paged_tp and
-   prefill_tp.  [rows] is the leading (token) extent of the activation,
-   [x] the normed input; returns the layer's (rows, hidden) output. *)
-let tp_mlp b (cfg : Configs.t) ~tp ~strategy ~l ~rows p lw x =
-  let h = cfg.Configs.hidden in
-  let parts =
-    List.init tp (fun s ->
-        let u =
-          Builder.emit b
-            ~name:(gname s "l%d_w_up" l)
-            (Expr.call_op "matmul" [ x; p (List.nth lw.t_w_up s) ])
-        in
-        match lw.t_w_gate with
-        | Some gates ->
-            let g =
-              Builder.emit b
-                ~name:(gname s "l%d_w_gate" l)
-                (Expr.call_op "matmul" [ x; p (List.nth gates s) ])
-            in
-            let a =
-              Builder.emit b
-                ~name:(gname s "l%d_act" l)
-                (Expr.call_op
-                   (match cfg.Configs.act with
-                   | Configs.Silu -> "silu"
-                   | Configs.Gelu -> "gelu")
-                   [ Expr.Var g ])
-            in
-            Builder.emit b
-              ~name:(gname s "l%d_mul" l)
-              (Expr.call_op "multiply" [ Expr.Var a; Expr.Var u ])
-        | None ->
-            Builder.emit b
-              ~name:(gname s "l%d_act" l)
-              (Expr.call_op
-                 (match cfg.Configs.act with
-                 | Configs.Silu -> "silu"
-                 | Configs.Gelu -> "gelu")
-                 [ Expr.Var u ]))
+let ceil_div a b = (a + b - 1) / b
+
+(* A linear layer's weights: one f16 matrix, or packed data + scales. *)
+type weight = Full of int | Packed of { wdata : int; wscale : int; k : int; n : int }
+
+let declare_linear d precision ~name ~k ~n =
+  let packed ~per_word =
+    (* Scales first: the established positional parameter order. *)
+    let wscale =
+      replicated d (name ^ "_scale")
+        (Struct_info.tensor [ c k; c (ceil_div n 32) ] dt)
+    in
+    let wdata =
+      replicated d (name ^ "_data")
+        (Struct_info.Tensor
+           {
+             shape = Known [ c k; c (ceil_div n per_word) ];
+             dtype = Some Base.Dtype.U32;
+           })
+    in
+    Packed { wdata; wscale; k; n }
   in
-  match strategy with
-  | Gather ->
-      let full =
-        Builder.emit_call_dps_library b "ccl.all_gather"
-          (List.map (fun v -> Expr.Var v) parts)
-          ~out:(Struct_info.tensor [ rows; c cfg.Configs.inter ] dt)
-          ~name:(Printf.sprintf "l%d_mlp_ag" l)
-          ()
-      in
-      let outs =
-        List.init tp (fun s ->
-            Builder.emit b
-              ~name:(gname s "l%d_w_down" l)
-              (Expr.call_op "matmul"
-                 [ Expr.Var full; p (List.nth lw.t_w_down s) ]))
-      in
-      Builder.emit_call_dps_library b "ccl.all_gather"
-        (List.map (fun v -> Expr.Var v) outs)
-        ~out:(Struct_info.tensor [ rows; c h ] dt)
-        ~name:(Printf.sprintf "l%d_down_ag" l)
-        ()
-  | Reduce ->
-      let outs =
-        List.mapi
-          (fun s part ->
-            Builder.emit b
-              ~name:(gname s "l%d_w_down" l)
-              (Expr.call_op "matmul"
-                 [ Expr.Var part; p (List.nth lw.t_w_down s) ]))
-          parts
-      in
-      Builder.emit_call_dps_library b "ccl.all_reduce"
-        (List.map (fun v -> Expr.Var v) outs)
-        ~out:(Struct_info.tensor [ rows; c h ] dt)
-        ~name:(Printf.sprintf "l%d_down_ar" l)
-        ()
+  match precision with
+  | F16 -> Full (replicated d name (Struct_info.tensor [ c k; c n ] dt))
+  | Q4 -> packed ~per_word:8
+  | Q3 -> packed ~per_word:10
 
-(* Output projection: Gather re-gathers the per-head attention output
-   then column-splits wo; Reduce feeds each shard's own heads through
-   its row slice and all-reduces the partials. *)
-let tp_wo b (cfg : Configs.t) ~tp ~strategy ~l ~rows p lw at2s =
+(* Full-model projection [name] of shape (k, n) as a list of [tp]
+   shards, each a contiguous block along [axis] declared as its own
+   parameter "g<s>:name". Unsharded, the one shard is the whole
+   (possibly quantized) matrix. *)
+let declare_proj d precision ~tp ~axis ~name ~k ~n =
+  if tp = 1 then [ declare_linear d precision ~name ~k ~n ]
+  else
+    let k, n = if axis = 0 then (k / tp, n) else (k, n / tp) in
+    List.init tp (fun shard ->
+        Full
+          (declare d
+             (Sh_sliced { src = name; axis; shard; tp })
+             (Printf.sprintf "g%d:%s" shard name)
+             (Struct_info.tensor [ c k; c n ] dt)))
+
+type norm = Rms of int | Layer of int * int
+
+let declare_norm d (cfg : Configs.t) name =
+  let vec = Struct_info.tensor [ c cfg.Configs.hidden ] dt in
+  match cfg.Configs.norm with
+  | Configs.Rms -> Rms (replicated d name vec)
+  | Configs.Layer ->
+      let b = replicated d (name ^ "_b") vec in
+      let g = replicated d (name ^ "_g") vec in
+      Layer (g, b)
+
+(* One layer's weights; each projection is its list of shards. *)
+type layer = {
+  attn_norm : norm;
+  wq : weight list;
+  wk : weight list;
+  wv : weight list;
+  qkv_biases : (int * int * int) option;
+      (** Qwen2-style projection biases (q, k, v); unsharded only *)
+  wo : weight list;
+  ffn_norm : norm;
+  w_gate : weight list option;
+  w_up : weight list;
+  w_down : weight list;
+}
+
+(* Column-parallel first matmuls split along axis 1; the second matmul
+   of each pair (wo, w_down) is column-split under Gather and row-split
+   under Reduce. *)
+let declare_layer d (cfg : Configs.t) precision ~tp ~strategy l =
   let h = cfg.Configs.hidden in
   let qd = cfg.Configs.heads * cfg.Configs.head_dim in
-  match strategy with
-  | Gather ->
-      let full =
-        Builder.emit_call_dps_library b "ccl.all_gather"
-          (List.map (fun v -> Expr.Var v) at2s)
-          ~out:(Struct_info.tensor [ rows; c qd ] dt)
-          ~name:(Printf.sprintf "l%d_attn_ag" l)
+  let kvd = cfg.Configs.kv_heads * cfg.Configs.head_dim in
+  let inter = cfg.Configs.inter in
+  let pre name = Printf.sprintf "l%d_%s" l name in
+  let proj ~axis name ~k ~n =
+    lazy (declare_proj d precision ~tp ~axis ~name:(pre name) ~k ~n)
+  in
+  let second = match strategy with Gather -> 1 | Reduce -> 0 in
+  let attn_norm = lazy (declare_norm d cfg (pre "attn_norm")) in
+  let wq = proj ~axis:1 "wq" ~k:h ~n:qd in
+  let wk = proj ~axis:1 "wk" ~k:h ~n:kvd in
+  let wv = proj ~axis:1 "wv" ~k:h ~n:kvd in
+  let qkv_biases =
+    lazy
+      (if cfg.Configs.qkv_bias then
+         let bv = replicated d (pre "bv") (Struct_info.tensor [ c kvd ] dt) in
+         let bk = replicated d (pre "bk") (Struct_info.tensor [ c kvd ] dt) in
+         let bq = replicated d (pre "bq") (Struct_info.tensor [ c qd ] dt) in
+         Some (bq, bk, bv)
+       else None)
+  in
+  let wo = proj ~axis:second "wo" ~k:qd ~n:h in
+  let ffn_norm = lazy (declare_norm d cfg (pre "ffn_norm")) in
+  let w_gate =
+    lazy
+      (match cfg.Configs.mlp with
+      | Configs.Gated -> Some (Lazy.force (proj ~axis:1 "w_gate" ~k:h ~n:inter))
+      | Configs.Plain -> None)
+  in
+  let w_up = proj ~axis:1 "w_up" ~k:h ~n:inter in
+  let w_down = proj ~axis:second "w_down" ~k:inter ~n:h in
+  (* Declaration order is the positional parameter order callers rely
+     on: unsharded layers list their weights last-to-first (w_down up
+     to attn_norm), sharded layers first-to-last. *)
+  let force v () = ignore (Lazy.force v) in
+  let in_order =
+    [ force attn_norm; force wq; force wk; force wv; force qkv_biases;
+      force wo; force ffn_norm; force w_gate; force w_up; force w_down ]
+  in
+  List.iter (fun f -> f ()) (if tp = 1 then List.rev in_order else in_order);
+  {
+    attn_norm = Lazy.force attn_norm;
+    wq = Lazy.force wq;
+    wk = Lazy.force wk;
+    wv = Lazy.force wv;
+    qkv_biases = Lazy.force qkv_biases;
+    wo = Lazy.force wo;
+    ffn_norm = Lazy.force ffn_norm;
+    w_gate = Lazy.force w_gate;
+    w_up = Lazy.force w_up;
+    w_down = Lazy.force w_down;
+  }
+
+(* ---------- graph emission ---------- *)
+
+type ctx = {
+  b : Builder.t;
+  cfg : Configs.t;
+  precision : precision;
+  tp : int;
+  strategy : tp_strategy;
+  params : Rvar.t array;
+  decode_cache : (int * int, Tir.Prim_func.t) Hashtbl.t;
+      (** (k, n) -> quantized weight decode kernel, shared by every
+          layer *)
+}
+
+let param ctx i = Expr.Var ctx.params.(i)
+
+(* Shard [s]'s binding name "g<s>:name"; unsharded bindings stay
+   unnamed. *)
+let gname ctx s name =
+  if ctx.tp = 1 then None else Some (Printf.sprintf "g%d:%s" s name)
+
+let op ctx ?name o args =
+  Builder.emit ctx.b ?name (Expr.call_op o (List.map (fun v -> Expr.Var v) args))
+
+let reshape ctx ?name v dims =
+  Builder.emit ctx.b ?name
+    (Expr.call_op "reshape" [ Expr.Var v; Expr.Shape_expr dims ])
+
+let swap01 ctx ?name v =
+  Builder.emit ctx.b ?name
+    (Expr.call_op "permute_dims"
+       [ Expr.Var v; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
+
+let linear ctx ?name x w =
+  match w with
+  | Full i -> Builder.emit ctx.b ?name (Expr.call_op "matmul" [ Expr.Var x; param ctx i ])
+  | Packed { wdata; wscale; k; n } ->
+      let kernel =
+        match Hashtbl.find_opt ctx.decode_cache (k, n) with
+        | Some kf -> kf
+        | None ->
+            let name, gen =
+              match ctx.precision with
+              | Q3 -> ("decode_q3", Tir.Kernels.decode_q3)
+              | Q4 | F16 -> ("decode_q4", Tir.Kernels.decode_q4)
+            in
+            let kf = gen ~name ~k:(c k) ~n:(c n) dt in
+            Hashtbl.replace ctx.decode_cache (k, n) kf;
+            kf
+      in
+      let w_full =
+        Builder.emit_call_tir ctx.b kernel
+          [ param ctx wdata; param ctx wscale ]
+          ~out:(Struct_info.tensor [ c k; c n ] dt)
           ()
       in
-      let outs =
-        List.init tp (fun s ->
-            Builder.emit b
-              ~name:(gname s "l%d_wo" l)
-              (Expr.call_op "matmul" [ Expr.Var full; p (List.nth lw.t_wo s) ]))
-      in
-      Builder.emit_call_dps_library b "ccl.all_gather"
-        (List.map (fun v -> Expr.Var v) outs)
-        ~out:(Struct_info.tensor [ rows; c h ] dt)
-        ~name:(Printf.sprintf "l%d_wo_ag" l)
-        ()
-  | Reduce ->
+      Builder.emit ctx.b ?name (Expr.call_op "matmul" [ Expr.Var x; Expr.Var w_full ])
+
+(* Broadcast-add a projection bias when the model has one. *)
+let add_bias ctx bias v =
+  match bias with
+  | None -> v
+  | Some i -> Builder.emit ctx.b (Expr.call_op "add" [ Expr.Var v; param ctx i ])
+
+let apply_norm ctx spec x =
+  match spec with
+  | Rms i -> Builder.emit ctx.b (Expr.call_op "rms_norm" [ Expr.Var x; param ctx i ])
+  | Layer (g, bias) ->
+      Builder.emit ctx.b
+        (Expr.call_op "layer_norm" [ Expr.Var x; param ctx g; param ctx bias ])
+
+let collective ctx o name parts ~rows ~cols =
+  Builder.emit_call_dps_library ctx.b o
+    (List.map (fun v -> Expr.Var v) parts)
+    ~out:(Struct_info.tensor [ rows; c cols ] dt)
+    ~name ()
+
+(* [x] through every shard's column block of [ws], all-gathered into
+   the full (rows, n) result. A single shard is just the linear. *)
+let gather_linear ctx ~rows ~n ~name ~ag x ws =
+  let outs = List.mapi (fun s w -> linear ctx ?name:(gname ctx s name) x w) ws in
+  match outs with [ o ] -> o | _ -> collective ctx "ccl.all_gather" ag outs ~rows ~cols:n
+
+(* The second matmul of a column-parallel pair, fed the shards' column
+   blocks [xs] of a (rows, k) activation. Gather re-gathers [xs] and
+   column-splits [ws]; Reduce feeds each shard's block through its row
+   slice of [ws] and all-reduces the partial sums. Collectives are named
+   "l<l>_<tag_in>_ag" / "l<l>_<tag_out>_ag" / "l<l>_<tag_out>_ar". *)
+let second_linear ctx ~l ~rows ~k ~n ~name ~tag_in ~tag_out xs ws =
+  let name = Printf.sprintf "l%d_%s" l name in
+  let coll suffix tag = Printf.sprintf "l%d_%s_%s" l tag suffix in
+  match (ctx.strategy, xs) with
+  | _, [ x ] -> linear ctx x (List.hd ws)
+  | Gather, _ ->
+      let full = collective ctx "ccl.all_gather" (coll "ag" tag_in) xs ~rows ~cols:k in
+      gather_linear ctx ~rows ~n ~name ~ag:(coll "ag" tag_out) full ws
+  | Reduce, _ ->
       let outs =
         List.mapi
-          (fun s at2 ->
-            Builder.emit b
-              ~name:(gname s "l%d_wo" l)
-              (Expr.call_op "matmul" [ Expr.Var at2; p (List.nth lw.t_wo s) ]))
-          at2s
+          (fun s (x, w) -> linear ctx ?name:(gname ctx s name) x w)
+          (List.combine xs ws)
       in
-      Builder.emit_call_dps_library b "ccl.all_reduce"
-        (List.map (fun v -> Expr.Var v) outs)
-        ~out:(Struct_info.tensor [ rows; c h ] dt)
-        ~name:(Printf.sprintf "l%d_wo_ar" l)
-        ()
+      collective ctx "ccl.all_reduce" (coll "ar" tag_out) outs ~rows ~cols:n
 
-let decode_paged_tp ?(strategy = Gather) (cfg : Configs.t) ~batch ~tp () =
+let mlp ctx ~l ~rows lw x =
+  let cfg = ctx.cfg in
+  let act = match cfg.Configs.act with Configs.Silu -> "silu" | Configs.Gelu -> "gelu" in
+  let parts =
+    List.init ctx.tp (fun s ->
+        let name what = gname ctx s (Printf.sprintf "l%d_%s" l what) in
+        let lin what w = linear ctx ?name:(name what) x (List.nth w s) in
+        match lw.w_gate with
+        | Some gate ->
+            let g = lin "w_gate" gate in
+            let u = lin "w_up" lw.w_up in
+            let a = op ctx ?name:(name "act") act [ g ] in
+            op ctx ?name:(name "mul") "multiply" [ a; u ]
+        | None -> op ctx ?name:(name "act") act [ lin "w_up" lw.w_up ])
+  in
+  second_linear ctx ~l ~rows ~k:cfg.Configs.inter ~n:cfg.Configs.hidden ~name:"w_down"
+    ~tag_in:"mlp" ~tag_out:"down" parts lw.w_down
+
+(* Copy the last row: lets prefill return (1, vocab) logits instead of
+   materializing the full (n, vocab) matrix. *)
+let last_row_kernel ~n ~width dtype =
+  let x = Tir.Buffer.create "X" [ n; width ] dtype in
+  let y = Tir.Buffer.create "Y" [ c 1; width ] dtype in
+  let j = Arith.Var.fresh "j" in
+  let body =
+    Tir.Stmt.for_ j width
+      (Tir.Stmt.Store
+         ( y,
+           [ Tir.Texpr.i 0; Tir.Texpr.iv j ],
+           Tir.Texpr.load x [ E.sub n (c 1); E.var j ] ))
+  in
+  Tir.Prim_func.create ~name:"last_row" ~params:[ x; y ] body
+
+(* ---------- the transformer ---------- *)
+
+(* How a decode step updates the KV cache: a functional append that
+   returns grown caches, or an in-place write into caches
+   pre-allocated at the model's maximum context (the paged-cache
+   extension). *)
+type kv = Append | Paged
+type phase = Prefill | Decode of kv
+
+(* The one transformer graph builder. [Prefill] processes a whole
+   sequence (batch 1) of symbolic length n and hands on its KV caches;
+   [Decode] runs one step for [batch] sequences (symbolic when
+   [batch_var] is given) against caches of symbolic length m. [tp > 1]
+   shards every layer over [tp] simulated devices (F16 only). *)
+let build ?(tp = 1) ?(strategy = Gather) ?batch_var ?(return_caches = true)
+    (cfg : Configs.t) ~phase ~batch precision =
+  let len_var =
+    Arith.Var.fresh (match phase with Prefill -> "n" | Decode _ -> "m")
+  in
+  let m = E.var len_var in
+  let bb = match batch_var with Some v -> E.var v | None -> c batch in
+  let rows = match phase with Prefill -> m | Decode _ -> bb in
+  let h = cfg.Configs.hidden and d = cfg.Configs.head_dim in
+  let hs = cfg.Configs.heads / tp and kvs = cfg.Configs.kv_heads / tp in
+  let mmax = c cfg.Configs.max_context in
+  let decl = { count = 0; rev_specs = []; rev_srcs = [] } in
+  let ids_i =
+    input decl "ids"
+      (Struct_info.Tensor { shape = Known [ rows ]; dtype = Some Base.Dtype.I32 })
+  in
+  if phase = Decode Paged then ignore (input decl "cur_len" (Struct_info.shape [ m ]));
+  let cache_is =
+    match phase with
+    | Prefill -> [||]
+    | Decode kv ->
+        let len = match kv with Append -> m | Paged -> mmax in
+        let cache kv_name l s =
+          let name =
+            if tp = 1 then Printf.sprintf "%s_cache_%d" kv_name l
+            else Printf.sprintf "%s_cache_%d_g%d" kv_name l s
+          in
+          input decl name (Struct_info.tensor [ bb; c kvs; len; c d ] dt)
+        in
+        (* Sequenced lets: a tuple of two declarations would evaluate
+           right-to-left and register v_cache before k_cache, silently
+           crossing the positional (k, v, k, v, ...) argument convention
+           every caller of this program relies on. *)
+        Array.init cfg.Configs.layers (fun l ->
+            Array.init tp (fun s ->
+                let k = cache "k" l s in
+                let v = cache "v" l s in
+                (k, v)))
+  in
+  let emb_i =
+    replicated decl "embedding" (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
+  in
+  let layer_ws =
+    List.init cfg.Configs.layers (declare_layer decl cfg precision ~tp ~strategy)
+  in
+  let final_norm = declare_norm decl cfg "final_norm" in
+  let lm_head =
+    declare_proj decl precision ~tp ~axis:1 ~name:"lm_head" ~k:h ~n:cfg.Configs.vocab
+  in
+  let b = Builder.create () in
+  let specs = List.rev decl.rev_specs in
+  let entry = match phase with Prefill -> "prefill" | Decode _ -> "decode" in
+  (* One shard's attention for layer [l] over its q/k/v projections:
+     the (rows, hs * d) output, and a thunk returning the KV caches this
+     shard hands on. The layer runs the thunk after its MLP, so
+     prefill's cache reshapes bind there (the order the printed-IR
+     golden pins). *)
+  let attention =
+    match phase with
+    | Decode kv ->
+        let rope name heads =
+          Attention.rope_decode ~name ~batch:bb ~heads ~head_dim:d
+            ~pos:(Arith.Var.fresh "pos") dt
+        in
+        let rope_q = rope "rope_q" hs in
+        let rope_k = rope "rope_k" kvs in
+        let cache_kernel =
+          match kv with
+          | Append ->
+              Attention.kv_append ~name:"kv_append" ~batch:bb ~kv_heads:kvs ~head_dim:d
+                ~m:(E.var (Arith.Var.fresh "mc")) dt
+          | Paged ->
+              Attention.kv_write ~name:"kv_write" ~batch:bb ~kv_heads:kvs ~head_dim:d
+                ~max_ctx:mmax ~pos:(Arith.Var.fresh "wpos") dt
+        in
+        let attn_kernel =
+          match kv with
+          | Append ->
+              Attention.decode ~name:"attention_decode" ~batch:bb ~heads:hs
+                ~kv_heads:kvs ~head_dim:d ~m:(E.var (Arith.Var.fresh "ma")) dt
+          | Paged ->
+              Attention.decode_paged ~name:"attention_paged" ~batch:bb ~heads:hs
+                ~kv_heads:kvs ~head_dim:d ~max_ctx:mmax ~len:(Arith.Var.fresh "alen") dt
+        in
+        fun ctx ~name ~l ~s (q, k, v) ->
+          let heads4 n = [ bb; c n; c 1; c d ] in
+          let q4 = reshape ctx ?name:(name "q4") q (heads4 hs) in
+          let k4 = reshape ctx ?name:(name "k4") k (heads4 kvs) in
+          let v4 = reshape ctx ?name:(name "v4") v (heads4 kvs) in
+          let rope kernel x n what =
+            Builder.emit_call_tir b kernel [ Expr.Var x ]
+              ~out:(Struct_info.tensor (heads4 n) dt) ~sym_args:[ m ] ?name:(name what) ()
+          in
+          let qr = rope rope_q q4 hs "rope_q" in
+          let kr = rope rope_k k4 kvs "rope_k" in
+          let ksi, vsi = cache_is.(l).(s) in
+          let cache_k, cache_v, attn_sym =
+            match kv with
+            | Append ->
+                let append cache x what =
+                  Builder.emit_call_tir b cache_kernel [ param ctx cache; Expr.Var x ]
+                    ~out:(Struct_info.tensor [ bb; c kvs; E.add m (c 1); c d ] dt)
+                    ?name:(name what) ()
+                in
+                let kc = append ksi kr "kv_append_k" in
+                let vc = append vsi v4 "kv_append_v" in
+                (kc, vc, [])
+            | Paged ->
+                let write cache x what =
+                  Builder.emit_call_tir_inplace b cache_kernel
+                    [ Expr.Var x; param ctx cache ]
+                    ~out_index:1
+                    ~out:(Struct_info.tensor [ bb; c kvs; mmax; c d ] dt)
+                    ~sym_args:[ m ] ?name:(name what) ()
+                in
+                let kc = write ksi kr "kv_write_k" in
+                let vc = write vsi v4 "kv_write_v" in
+                (kc, vc, [ E.add m (c 1) ])
+          in
+          let at =
+            Builder.emit_call_tir b attn_kernel
+              [ Expr.Var qr; Expr.Var cache_k; Expr.Var cache_v ]
+              ~out:(Struct_info.tensor (heads4 hs) dt)
+              ~sym_args:attn_sym ?name:(name "attn") ()
+          in
+          let flat = reshape ctx ?name:(name "attn_flat") at [ bb; c (hs * d) ] in
+          let handed_on () =
+            match kv with Append -> [ cache_k; cache_v ] | Paged -> []
+          in
+          (flat, handed_on)
+    | Prefill ->
+        let rope name heads = Attention.rope_prefill ~name ~heads ~head_dim:d ~n:m dt in
+        let rope_q = rope "rope_prefill_q" hs in
+        let rope_k = rope "rope_prefill_k" kvs in
+        let attn_kernel =
+          Attention.prefill ~name:"attention_prefill" ~heads:hs ~kv_heads:kvs ~head_dim:d
+            ~n:(E.var (Arith.Var.fresh "na")) dt
+        in
+        fun ctx ~name ~l:_ ~s:_ (q, k, v) ->
+          (* (n, count*d) -> (count, n, d) *)
+          let to_heads x count what =
+            swap01 ctx ?name:(name what) (reshape ctx x [ m; c count; c d ])
+          in
+          let qh = to_heads q hs "qh" in
+          let kh = to_heads k kvs "kh" in
+          let vh = to_heads v kvs "vh" in
+          let rope kernel x n what =
+            Builder.emit_call_tir b kernel [ Expr.Var x ]
+              ~out:(Struct_info.tensor [ c n; m; c d ] dt) ?name:(name what) ()
+          in
+          let qr = rope rope_q qh hs "rope_q" in
+          let kr = rope rope_k kh kvs "rope_k" in
+          let at =
+            Builder.emit_call_tir b attn_kernel
+              [ Expr.Var qr; Expr.Var kr; Expr.Var vh ]
+              ~out:(Struct_info.tensor [ c hs; m; c d ] dt)
+              ?name:(name "attn") ()
+          in
+          (* (hs, n, d) -> (n, hs*d) *)
+          let atp = swap01 ctx ?name:(name "attn_t") at in
+          let flat = reshape ctx ?name:(name "attn_flat") atp [ m; c (hs * d) ] in
+          (* caches for subsequent decode: (1, kvs, n, d) *)
+          let handed_on () =
+            let kc = reshape ctx ?name:(name "kc") kr [ c 1; c kvs; m; c d ] in
+            let vc = reshape ctx ?name:(name "vc") vh [ c 1; c kvs; m; c d ] in
+            [ kc; vc ]
+          in
+          (flat, handed_on)
+  in
+  let last_row =
+    match phase with
+    | Prefill -> Some (last_row_kernel ~n:(E.var (Arith.Var.fresh "nl")) ~width:(c h) dt)
+    | Decode _ -> None
+  in
+  let layer ctx l lw x =
+    let hin = apply_norm ctx lw.attn_norm x in
+    let shards =
+      List.init tp (fun s ->
+          let name what = gname ctx s (Printf.sprintf "l%d_%s" l what) in
+          let bias pick = Option.map pick lw.qkv_biases in
+          let proj what w bias_i =
+            add_bias ctx bias_i (linear ctx ?name:(name what) hin (List.nth w s))
+          in
+          let q = proj "wq" lw.wq (bias (fun (q, _, _) -> q)) in
+          let k = proj "wk" lw.wk (bias (fun (_, k, _) -> k)) in
+          let v = proj "wv" lw.wv (bias (fun (_, _, v) -> v)) in
+          attention ctx ~name ~l ~s (q, k, v))
+    in
+    let o =
+      second_linear ctx ~l ~rows ~k:(cfg.Configs.heads * d) ~n:h ~name:"wo"
+        ~tag_in:"attn" ~tag_out:"wo" (List.map fst shards) lw.wo
+    in
+    let x1 = op ctx "add" [ x; o ] in
+    let h2 = apply_norm ctx lw.ffn_norm x1 in
+    let x2 = op ctx "add" [ x1; mlp ctx ~l ~rows lw h2 ] in
+    (x2, List.concat_map (fun (_, handed_on) -> handed_on ()) shards)
+  in
+  Builder.function_ b ~name:entry ~params:specs (fun params ->
+      let ctx =
+        {
+          b;
+          cfg;
+          precision;
+          tp;
+          strategy;
+          params = Array.of_list params;
+          decode_cache = Hashtbl.create 8;
+        }
+      in
+      Builder.dataflow b (fun () ->
+          let x =
+            ref (Builder.emit b (Expr.call_op "take" [ param ctx emb_i; param ctx ids_i ]))
+          in
+          let caches = ref [] in
+          List.iteri
+            (fun l lw ->
+              let x', handed_on = layer ctx l lw !x in
+              x := x';
+              caches := handed_on :: !caches)
+            layer_ws;
+          let last, out_rows =
+            match last_row with
+            | Some lrk ->
+                ( Builder.emit_call_tir b lrk [ Expr.Var !x ]
+                    ~out:(Struct_info.tensor [ c 1; c h ] dt)
+                    (),
+                  c 1 )
+            | None -> (!x, bb)
+          in
+          let xf = apply_norm ctx final_norm last in
+          let logits =
+            gather_linear ctx ~rows:out_rows ~n:cfg.Configs.vocab ~name:"lm_head"
+              ~ag:"lm_head_ag" xf lm_head
+          in
+          if return_caches && phase <> Decode Paged then
+            Expr.Tuple
+              (List.map (fun v -> Expr.Var v) (logits :: List.concat (List.rev !caches)))
+          else Expr.Var logits));
+  {
+    sbuilt =
+      {
+        mod_ = Builder.module_ b;
+        entry;
+        ctx_var = len_var;
+        batch_var;
+        params = specs;
+        config = cfg;
+        batch;
+        precision;
+      };
+    srcs = List.rev decl.rev_srcs;
+    tp;
+  }
+
+let decode ?return_caches (cfg : Configs.t) ~batch precision =
+  (build ?return_caches cfg ~phase:(Decode Append) ~batch precision).sbuilt
+
+let decode_symbolic_batch ?return_caches ?(max_batch = 64) (cfg : Configs.t)
+    precision =
+  let bv = Arith.Var.fresh "b" in
+  (build ?return_caches ~batch_var:bv cfg ~phase:(Decode Append) ~batch:max_batch
+     precision)
+    .sbuilt
+
+let decode_paged (cfg : Configs.t) ~batch precision =
+  (build cfg ~phase:(Decode Paged) ~batch precision).sbuilt
+
+let prefill ?return_caches (cfg : Configs.t) precision =
+  (build ?return_caches cfg ~phase:Prefill ~batch:1 precision).sbuilt
+
+let decode_paged_tp ?strategy (cfg : Configs.t) ~batch ~tp () =
   check_tp "decode_paged_tp" cfg ~tp;
-  if tp = 1 then
-    let b = decode_paged cfg ~batch F16 in
-    { sbuilt = b; srcs = trivial_srcs b; tp = 1 }
-  else begin
-    let m_var = Arith.Var.fresh "m" in
-    let m = E.var m_var in
-    let bb = c batch in
-    let h = cfg.Configs.hidden in
-    let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-    let d = cfg.Configs.head_dim in
-    let hs = heads / tp and kvs = kv / tp in
-    let vs = cfg.Configs.vocab / tp in
-    let mmax = c cfg.Configs.max_context in
-    let td = { d = { specs = [] }; rev_srcs = [] } in
-    let ids_i =
-      tdeclare td (Sh_input "ids") "ids"
-        (Struct_info.Tensor { shape = Known [ bb ]; dtype = Some Base.Dtype.I32 })
-    in
-    let len_i =
-      tdeclare td (Sh_input "cur_len") "cur_len" (Struct_info.shape [ m ])
-    in
-    let cache_is =
-      List.init cfg.Configs.layers (fun l ->
-          List.init tp (fun s ->
-              let kn = Printf.sprintf "k_cache_%d_g%d" l s in
-              let ksi =
-                tdeclare td (Sh_input kn) kn
-                  (Struct_info.tensor [ bb; c kvs; mmax; c d ] dt)
-              in
-              let vn = Printf.sprintf "v_cache_%d_g%d" l s in
-              let vsi =
-                tdeclare td (Sh_input vn) vn
-                  (Struct_info.tensor [ bb; c kvs; mmax; c d ] dt)
-              in
-              (ksi, vsi)))
-    in
-    let emb_i =
-      tdeclare td (Sh_replicated "embedding") "embedding"
-        (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-    in
-    let layer_ws =
-      List.init cfg.Configs.layers (tp_declare_layer td cfg ~tp ~strategy)
-    in
-    let final_norm = tp_norm td cfg "final_norm" in
-    let lm_head =
-      List.init tp (fun s ->
-          tp_mat td ~src:"lm_head" ~axis:1 ~shard:s ~tp ~k:h ~n:vs)
-    in
-    let rope_q =
-      Attention.rope_decode ~name:"rope_q" ~batch:bb ~heads:hs ~head_dim:d
-        ~pos:(Arith.Var.fresh "pos") dt
-    in
-    let rope_k =
-      Attention.rope_decode ~name:"rope_k" ~batch:bb ~heads:kvs ~head_dim:d
-        ~pos:(Arith.Var.fresh "pos") dt
-    in
-    let write_kernel =
-      Attention.kv_write ~name:"kv_write" ~batch:bb ~kv_heads:kvs ~head_dim:d
-        ~max_ctx:mmax ~pos:(Arith.Var.fresh "wpos") dt
-    in
-    let attn_kernel =
-      Attention.decode_paged ~name:"attention_paged" ~batch:bb ~heads:hs
-        ~kv_heads:kvs ~head_dim:d ~max_ctx:mmax ~len:(Arith.Var.fresh "alen") dt
-    in
-    let b = Builder.create () in
-    Builder.function_ b ~name:"decode" ~params:td.d.specs (fun params ->
-        Builder.dataflow b (fun () ->
-            let p i = Expr.Var (List.nth params i) in
-            ignore (p len_i);
-            let x =
-              ref (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ]))
-            in
-            List.iteri
-              (fun l lw ->
-                let caches = List.nth cache_is l in
-                let hin = apply_norm b params lw.t_attn_norm (Expr.Var !x) in
-                let at2s =
-                  List.init tp (fun s ->
-                      let ksi, vsi = List.nth caches s in
-                      let q =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wq" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wq s) ])
-                      in
-                      let k =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wk" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wk s) ])
-                      in
-                      let v =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wv" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wv s) ])
-                      in
-                      let q4 =
-                        Builder.emit b
-                          ~name:(gname s "l%d_q4" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var q;
-                               Expr.Shape_expr [ bb; c hs; c 1; c d ];
-                             ])
-                      in
-                      let k4 =
-                        Builder.emit b
-                          ~name:(gname s "l%d_k4" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var k;
-                               Expr.Shape_expr [ bb; c kvs; c 1; c d ];
-                             ])
-                      in
-                      let v4 =
-                        Builder.emit b
-                          ~name:(gname s "l%d_v4" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var v;
-                               Expr.Shape_expr [ bb; c kvs; c 1; c d ];
-                             ])
-                      in
-                      let qr =
-                        Builder.emit_call_tir b rope_q [ Expr.Var q4 ]
-                          ~out:(Struct_info.tensor [ bb; c hs; c 1; c d ] dt)
-                          ~sym_args:[ m ]
-                          ~name:(gname s "l%d_rope_q" l)
-                          ()
-                      in
-                      let kr =
-                        Builder.emit_call_tir b rope_k [ Expr.Var k4 ]
-                          ~out:(Struct_info.tensor [ bb; c kvs; c 1; c d ] dt)
-                          ~sym_args:[ m ]
-                          ~name:(gname s "l%d_rope_k" l)
-                          ()
-                      in
-                      let kc =
-                        Builder.emit_call_tir_inplace b write_kernel
-                          [ Expr.Var kr; p ksi ]
-                          ~out_index:1
-                          ~out:(Struct_info.tensor [ bb; c kvs; mmax; c d ] dt)
-                          ~sym_args:[ m ]
-                          ~name:(gname s "l%d_kv_write_k" l)
-                          ()
-                      in
-                      let vc =
-                        Builder.emit_call_tir_inplace b write_kernel
-                          [ Expr.Var v4; p vsi ]
-                          ~out_index:1
-                          ~out:(Struct_info.tensor [ bb; c kvs; mmax; c d ] dt)
-                          ~sym_args:[ m ]
-                          ~name:(gname s "l%d_kv_write_v" l)
-                          ()
-                      in
-                      let at =
-                        Builder.emit_call_tir b attn_kernel
-                          [ Expr.Var qr; Expr.Var kc; Expr.Var vc ]
-                          ~out:(Struct_info.tensor [ bb; c hs; c 1; c d ] dt)
-                          ~sym_args:[ E.add m (c 1) ]
-                          ~name:(gname s "l%d_attn" l)
-                          ()
-                      in
-                      Builder.emit b
-                        ~name:(gname s "l%d_attn_flat" l)
-                        (Expr.call_op "reshape"
-                           [
-                             Expr.Var at; Expr.Shape_expr [ bb; c (hs * d) ];
-                           ]))
-                in
-                let o = tp_wo b cfg ~tp ~strategy ~l ~rows:bb p lw at2s in
-                let x1 =
-                  Builder.emit b
-                    (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ])
-                in
-                let h2 = apply_norm b params lw.t_ffn_norm (Expr.Var x1) in
-                let dn =
-                  tp_mlp b cfg ~tp ~strategy ~l ~rows:bb p lw (Expr.Var h2)
-                in
-                let x2 =
-                  Builder.emit b
-                    (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ])
-                in
-                x := x2)
-              layer_ws;
-            let xf = apply_norm b params final_norm (Expr.Var !x) in
-            let lparts =
-              List.init tp (fun s ->
-                  Builder.emit b ~name:(gname s "lm_head")
-                    (Expr.call_op "matmul"
-                       [ Expr.Var xf; p (List.nth lm_head s) ]))
-            in
-            let logits =
-              Builder.emit_call_dps_library b "ccl.all_gather"
-                (List.map (fun v -> Expr.Var v) lparts)
-                ~out:(Struct_info.tensor [ bb; c cfg.Configs.vocab ] dt)
-                ~name:"lm_head_ag" ()
-            in
-            Expr.Var logits));
-    {
-      sbuilt =
-        {
-          mod_ = Builder.module_ b;
-          entry = "decode";
-          ctx_var = m_var;
-          batch_var = None;
-          params = td.d.specs;
-          config = cfg;
-          batch;
-          precision = F16;
-        };
-      srcs = List.rev td.rev_srcs;
-      tp;
-    }
-  end
+  build ~tp ?strategy cfg ~phase:(Decode Paged) ~batch F16
 
-let prefill_tp ?(strategy = Gather) ?(return_caches = true) (cfg : Configs.t)
-    ~tp () =
+let prefill_tp ?strategy ?return_caches (cfg : Configs.t) ~tp () =
   check_tp "prefill_tp" cfg ~tp;
-  if tp = 1 then
-    let b = prefill ~return_caches cfg F16 in
-    { sbuilt = b; srcs = trivial_srcs b; tp = 1 }
-  else begin
-    let n_var = Arith.Var.fresh "n" in
-    let n = E.var n_var in
-    let h = cfg.Configs.hidden in
-    let heads = cfg.Configs.heads and kv = cfg.Configs.kv_heads in
-    let d = cfg.Configs.head_dim in
-    let hs = heads / tp and kvs = kv / tp in
-    let vs = cfg.Configs.vocab / tp in
-    let td = { d = { specs = [] }; rev_srcs = [] } in
-    let ids_i =
-      tdeclare td (Sh_input "ids") "ids"
-        (Struct_info.Tensor { shape = Known [ n ]; dtype = Some Base.Dtype.I32 })
-    in
-    let emb_i =
-      tdeclare td (Sh_replicated "embedding") "embedding"
-        (Struct_info.tensor [ c cfg.Configs.vocab; c h ] dt)
-    in
-    let layer_ws =
-      List.init cfg.Configs.layers (tp_declare_layer td cfg ~tp ~strategy)
-    in
-    let final_norm = tp_norm td cfg "final_norm" in
-    let lm_head =
-      List.init tp (fun s ->
-          tp_mat td ~src:"lm_head" ~axis:1 ~shard:s ~tp ~k:h ~n:vs)
-    in
-    let rope_q =
-      Attention.rope_prefill ~name:"rope_prefill_q" ~heads:hs ~head_dim:d ~n dt
-    in
-    let rope_k =
-      Attention.rope_prefill ~name:"rope_prefill_k" ~heads:kvs ~head_dim:d ~n dt
-    in
-    let attn_kernel =
-      Attention.prefill ~name:"attention_prefill" ~heads:hs ~kv_heads:kvs
-        ~head_dim:d
-        ~n:(E.var (Arith.Var.fresh "na"))
-        dt
-    in
-    let lrk = last_row_kernel ~n:(E.var (Arith.Var.fresh "nl")) ~width:(c h) dt in
-    let b = Builder.create () in
-    (* (n, count*d) -> (count, n, d) *)
-    let to_heads ~nm v ~count =
-      let r3 =
-        Builder.emit b
-          (Expr.call_op "reshape"
-             [ Expr.Var v; Expr.Shape_expr [ n; c count; c d ] ])
-      in
-      Builder.emit b ~name:nm
-        (Expr.call_op "permute_dims"
-           [ Expr.Var r3; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
-    in
-    Builder.function_ b ~name:"prefill" ~params:td.d.specs (fun params ->
-        Builder.dataflow b (fun () ->
-            let p i = Expr.Var (List.nth params i) in
-            let x =
-              ref (Builder.emit b (Expr.call_op "take" [ p emb_i; p ids_i ]))
-            in
-            let caches = ref [] in
-            List.iteri
-              (fun l lw ->
-                let hin = apply_norm b params lw.t_attn_norm (Expr.Var !x) in
-                let at2s_and_kv =
-                  List.init tp (fun s ->
-                      let q =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wq" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wq s) ])
-                      in
-                      let k =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wk" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wk s) ])
-                      in
-                      let v =
-                        Builder.emit b
-                          ~name:(gname s "l%d_wv" l)
-                          (Expr.call_op "matmul"
-                             [ Expr.Var hin; p (List.nth lw.t_wv s) ])
-                      in
-                      let qh = to_heads ~nm:(gname s "l%d_qh" l) q ~count:hs in
-                      let kh = to_heads ~nm:(gname s "l%d_kh" l) k ~count:kvs in
-                      let vh = to_heads ~nm:(gname s "l%d_vh" l) v ~count:kvs in
-                      let qr =
-                        Builder.emit_call_tir b rope_q [ Expr.Var qh ]
-                          ~out:(Struct_info.tensor [ c hs; n; c d ] dt)
-                          ~name:(gname s "l%d_rope_q" l)
-                          ()
-                      in
-                      let kr =
-                        Builder.emit_call_tir b rope_k [ Expr.Var kh ]
-                          ~out:(Struct_info.tensor [ c kvs; n; c d ] dt)
-                          ~name:(gname s "l%d_rope_k" l)
-                          ()
-                      in
-                      let at =
-                        Builder.emit_call_tir b attn_kernel
-                          [ Expr.Var qr; Expr.Var kr; Expr.Var vh ]
-                          ~out:(Struct_info.tensor [ c hs; n; c d ] dt)
-                          ~name:(gname s "l%d_attn" l)
-                          ()
-                      in
-                      let atp =
-                        Builder.emit b
-                          ~name:(gname s "l%d_attn_t" l)
-                          (Expr.call_op "permute_dims"
-                             [ Expr.Var at; Expr.Shape_expr [ c 1; c 0; c 2 ] ])
-                      in
-                      let at2 =
-                        Builder.emit b
-                          ~name:(gname s "l%d_attn_flat" l)
-                          (Expr.call_op "reshape"
-                             [ Expr.Var atp; Expr.Shape_expr [ n; c (hs * d) ] ])
-                      in
-                      let kc =
-                        Builder.emit b
-                          ~name:(gname s "l%d_kc" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var kr;
-                               Expr.Shape_expr [ c 1; c kvs; n; c d ];
-                             ])
-                      in
-                      let vc =
-                        Builder.emit b
-                          ~name:(gname s "l%d_vc" l)
-                          (Expr.call_op "reshape"
-                             [
-                               Expr.Var vh;
-                               Expr.Shape_expr [ c 1; c kvs; n; c d ];
-                             ])
-                      in
-                      (at2, (kc, vc)))
-                in
-                let at2s = List.map fst at2s_and_kv in
-                let o = tp_wo b cfg ~tp ~strategy ~l ~rows:n p lw at2s in
-                let x1 =
-                  Builder.emit b
-                    (Expr.call_op "add" [ Expr.Var !x; Expr.Var o ])
-                in
-                let h2 = apply_norm b params lw.t_ffn_norm (Expr.Var x1) in
-                let dn =
-                  tp_mlp b cfg ~tp ~strategy ~l ~rows:n p lw (Expr.Var h2)
-                in
-                let x2 =
-                  Builder.emit b
-                    (Expr.call_op "add" [ Expr.Var x1; Expr.Var dn ])
-                in
-                x := x2;
-                caches :=
-                  !caches
-                  @ List.concat_map
-                      (fun (_, (kc, vc)) -> [ kc; vc ])
-                      at2s_and_kv)
-              layer_ws;
-            let last =
-              Builder.emit_call_tir b lrk [ Expr.Var !x ]
-                ~out:(Struct_info.tensor [ c 1; c h ] dt)
-                ()
-            in
-            let xf = apply_norm b params final_norm (Expr.Var last) in
-            let lparts =
-              List.init tp (fun s ->
-                  Builder.emit b ~name:(gname s "lm_head")
-                    (Expr.call_op "matmul"
-                       [ Expr.Var xf; p (List.nth lm_head s) ]))
-            in
-            let logits =
-              Builder.emit_call_dps_library b "ccl.all_gather"
-                (List.map (fun v -> Expr.Var v) lparts)
-                ~out:(Struct_info.tensor [ c 1; c cfg.Configs.vocab ] dt)
-                ~name:"lm_head_ag" ()
-            in
-            if return_caches then
-              Expr.Tuple
-                (Expr.Var logits :: List.map (fun v -> Expr.Var v) !caches)
-            else Expr.Var logits));
-    {
-      sbuilt =
-        {
-          mod_ = Builder.module_ b;
-          entry = "prefill";
-          ctx_var = n_var;
-          batch_var = None;
-          params = td.d.specs;
-          config = cfg;
-          batch = 1;
-          precision = F16;
-        };
-      srcs = List.rev td.rev_srcs;
-      tp;
-    }
-  end
+  build ~tp ?strategy ?return_caches cfg ~phase:Prefill ~batch:1 F16
 
 (* ---------- runtime argument construction ---------- *)
 

@@ -9,9 +9,13 @@
     [call_tir] — the cross-level path that lets FuseOps merge the
     4-bit weight decode into the matmul (Figure 9).
 
-    [decode] builds one generation step for a fixed batch size with a
-    symbolic cache length [m]; [prefill] builds whole-sequence
-    processing (batch 1) with symbolic length [n]. *)
+    Every entry point below is one call into a single builder,
+    parameterised by phase (prefill | decode), KV discipline
+    (functional append | paged in-place write) and tensor-parallel
+    degree [tp] (1 = unsharded): [decode] builds one generation step
+    for a fixed batch size with a symbolic cache length [m]; [prefill]
+    builds whole-sequence processing (batch 1) with symbolic length
+    [n]. *)
 
 type precision = F16 | Q4 | Q3
 
@@ -53,10 +57,11 @@ val decode_paged : Configs.t -> batch:int -> precision -> built
 
 val prefill : ?return_caches:bool -> Configs.t -> precision -> built
 
-(** {1 Tensor-parallel sharded builders (DESIGN.md §13)}
+(** {1 Tensor-parallel sharding (DESIGN.md §13)}
 
-    One Relax module unrolled over [tp] simulated devices: shard [s]'s
-    weights are contiguous column/row slices of the full model's
+    The same builder at [tp > 1]: one Relax module unrolled over [tp]
+    simulated devices. Shard [s]'s weights are contiguous column/row
+    slices of the full model's
     matrices (head-parallel attention, column-parallel MLP), its
     bindings are named ["g<s>:…"] (surfaced as per-device provenance
     by {!Runtime.Profiler.device_split}), and explicit [ccl.*]
@@ -96,8 +101,8 @@ val decode_paged_tp :
   ?strategy:tp_strategy -> Configs.t -> batch:int -> tp:int -> unit -> sharded
 (** Sharded {!decode_paged}: per-shard KV caches
     ["k_cache_<l>_g<s>"]/["v_cache_<l>_g<s>"] (kv_heads/tp heads each)
-    in layer-major, shard-minor order. [tp = 1] degenerates to the
-    unsharded builder. @raise Invalid_argument when unsupported. *)
+    in layer-major, shard-minor order. [tp = 1] builds exactly
+    {!decode_paged}. @raise Invalid_argument when unsupported. *)
 
 val prefill_tp :
   ?strategy:tp_strategy ->

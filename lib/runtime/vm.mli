@@ -5,10 +5,11 @@
     external library routine, or a runtime builtin (allocation, shape
     binding, graph capture). The same program executes in two modes:
 
-    - [`Numeric]: tensors carry real data; kernels run as compiled
-      OCaml closures ({!Tir.Compile}, cached per shape signature) and
-      library routines through their OCaml implementations. Used by
-      tests and examples.
+    - [`Numeric]: tensors carry real data; kernels run through
+      {!Tir.Exec.Cache} on the backend chosen at {!create} (imp by
+      default: flat imperative code with proved bounds checks elided;
+      compiled once per shape signature) and library routines through
+      their OCaml implementations. Used by tests and examples.
     - [`Timed device]: tensors are shape-only shadows; each call
       accrues simulated time from the device roofline model plus
       launch overhead. Used by the benchmark harness at paper-scale
