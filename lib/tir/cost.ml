@@ -126,23 +126,50 @@ let analyze (f : Prim_func.t) : t =
 let total_bytes t = Arith.Expr.add t.bytes_read t.bytes_written
 
 (* Per-flop costs of the imp backend's loop forms, calibrated against
-   BENCH_kernels.json on the development machine. The discriminator is
-   the same one {!Imp_compile} uses: an innermost loop whose body is a
-   single store fuses into a native trip loop — cheapest when it is a
-   reduction (the accumulator lives in a register, matmul's hot loop),
-   a little more per element for streaming maps (a load/store pair per
-   element) — while any other statement pays per-instruction
+   BENCH_kernels.json (matmul 128³ for the row rate, layer_norm and
+   softmax 256×1024 for the others). The discriminators are the ones
+   {!Imp_compile} uses: an innermost loop whose body is a single store
+   fuses into a native trip loop — cheapest when it is a reduction
+   (the accumulator lives in a register), a little more per element
+   for streaming maps (a load/store pair per element). A loop whose
+   body is a row-stream nest (matmul's row, attention's value loop;
+   {!Imp_compile.row_stream_extent} is the lowering's own predicate)
+   runs k-outer over unit-stride rows and is priced per multiply-add
+   at its own rate. Any other statement pays per-instruction
    register-machine dispatch. Transcendental library calls carry a
    flat surcharge regardless of loop shape. The absolute numbers only
-   need to be right relative to each other: schedule rankings compare
+   need to be right relative to each other: rankings compare
    estimates against estimates. *)
-let imp_reduction_ns_per_flop = 1.2
-let imp_map_ns_per_flop = 1.5
+let imp_reduction_ns_per_flop = 0.55
+let imp_map_ns_per_flop = 0.65
+let imp_row_ns_per_flop = 0.5
 let imp_dispatch_ns_per_flop = 3.0
-let imp_transcendental_ns = 8.0
+let imp_transcendental_ns = 16.0
 
 let est_imp_ns (f : Prim_func.t) lookup : float =
   let ev e = float_of_int (Arith.Expr.eval lookup e) in
+  (* the row-stream predicate resolves shape variables only; loop
+     variables must stay symbolic, as they are in the lowering *)
+  let loop_vars = Hashtbl.create 16 in
+  let rec collect (s : Stmt.t) =
+    match s with
+    | Stmt.Seq ss -> List.iter collect ss
+    | Stmt.For { var; body; _ } ->
+        Hashtbl.replace loop_vars var.Arith.Var.id ();
+        collect body
+    | Stmt.If (_, t, e) ->
+        collect t;
+        Option.iter collect e
+    | Stmt.Alloc (_, body) -> collect body
+    | Stmt.Store _ | Stmt.Assert _ | Stmt.Evaluate _ -> ()
+  in
+  collect f.Prim_func.body;
+  let sym_lookup (v : Arith.Var.t) =
+    if Hashtbl.mem loop_vars v.Arith.Var.id then None else Some (lookup v)
+  in
+  let shape (b : Buffer.t) =
+    Array.of_list (List.map (Arith.Expr.eval lookup) b.Buffer.shape)
+  in
   let rec single_store = function
     | Stmt.Store (b, idxs, v) -> Some (b, idxs, v)
     | Stmt.Seq [ s ] -> single_store s
@@ -172,11 +199,22 @@ let est_imp_ns (f : Prim_func.t) lookup : float =
   let rec walk mult (s : Stmt.t) : float =
     match s with
     | Stmt.Seq ss -> List.fold_left (fun acc s -> acc +. walk mult s) 0.0 ss
-    | Stmt.For { extent; body; _ } -> (
+    | Stmt.For { var; extent; body; _ } -> (
         let n = Float.max (ev extent) 0.0 in
         match single_store body with
         | Some (b, idxs, v) -> mult *. n *. store_cost ~fused:true b idxs v
-        | None -> walk (mult *. n) body)
+        | None -> (
+            match
+              Imp_compile.row_stream_extent
+                ~lookup:sym_lookup ~shape var body
+            with
+            | Some nk ->
+                (* one streamed init per row element, then one
+                   multiply-add per (j, k) *)
+                mult *. n
+                *. (imp_map_ns_per_flop
+                   +. (Float.max (ev nk) 0.0 *. 2.0 *. imp_row_ns_per_flop))
+            | None -> walk (mult *. n) body))
     | Stmt.Store (b, idxs, v) -> mult *. store_cost ~fused:false b idxs v
     | Stmt.If (c, t, e) ->
         (mult *. float_of_int (Texpr.count_flops c)

@@ -35,10 +35,12 @@ val est_imp_ns : Prim_func.t -> (Arith.Var.t -> int) -> float
     register-machine backend for the given shape assignment. The model
     mirrors how {!Imp_compile} lowers each loop: an innermost
     single-store loop fuses into a native trip loop — priced at the
-    reduction rate when the store accumulates into itself (matmul's
-    FMA loop) and at the slightly higher streaming-map rate otherwise
-    — while statements outside fusable loops pay per-instruction
-    dispatch; transcendental calls carry a flat surcharge either way.
-    Calibrated against BENCH_kernels.json so {!Schedule.auto_schedule}
+    reduction rate when the store accumulates into itself and at the
+    slightly higher streaming-map rate otherwise; a loop whose body is
+    a row-stream nest ({!Imp_compile.row_stream_extent}, matmul and
+    attention's value loop) is priced per multiply-add at the
+    row-stream rate; statements outside those forms pay
+    per-instruction dispatch; transcendental calls carry a flat
+    surcharge either way. Calibrated against BENCH_kernels.json so
     rankings agree with measured imp-backend times; only the relative
     ordering of estimates is meaningful. *)

@@ -20,6 +20,14 @@
      [acc +. (a *. b)] with two IEEE roundings, exactly like the
      interpreter and the closure backend, so all three backends stay
      bit-identical.
+   - [Frow] runs a whole reduction nest (matmul's row) k-outer and
+     j-inner, so both its operand rows stream with unit stride. It
+     keeps each output element's operation sequence, and also the
+     operand order of every add and multiply: the running value is
+     let-bound before each update so the native code keeps it as the
+     first operand of the add; with two NaN operands x86 returns the
+     first, so NaN signs and payloads come out as in the interpreter
+     (the special-value differential in test_compile pins this).
    - Jump targets are absolute instruction indices. {!Imp_compile}
      emits symbolic label ids and resolves them when flattening. *)
 
@@ -101,6 +109,11 @@ type floop_op =
   | Lmap_norm of { src : stream; c1 : int; c2 : int; g : stream; b : stream; dst : stream }
       (** dst[i] = ((src[i] -. c1) *. c2 *. g[i]) +. b[i]: layer_norm *)
 
+(* The k-stream scaling of a row-stream nest: [a_k] as loaded, or
+   combined once per [k] with a register that depends on neither loop
+   variable (attention's [s[k] /. sm]). *)
+type kscale = Unscaled | Mul_by of int | Div_by of int
+
 type instr =
   (* integer registers *)
   | Iconst of { dst : int; v : int }
@@ -149,6 +162,25 @@ type instr =
       (** fused innermost loop: [n] is the trip-count ireg, [acc] the
           reduction freg (ignored by map forms), [unsafe] selects
           unchecked element access under the proof-elision contract *)
+  | Frow of {
+      nj : int;
+      nk : int;
+      init : int;
+      y : stream;
+      a : stream;
+      scale : kscale;
+      w : stream;
+      unsafe : bool;
+    }
+      (** row-stream reduction nest, k-outer and j-inner:
+          [for j < nj: y[j] = c; for k < nk: y[j] = y[j] +. (a_k *. w[k, j])]
+          with [c = fregs.(init)], [y[j]] at [y.sbase + j], [a_k] at
+          [a.sbase + k * a.sstride] (then scaled), [w[k, j]] at
+          [w.sbase + k * w.sstride + j]. [nj]/[nk] are trip-count
+          iregs; [unsafe] as for [Floop]. Every [y[j]] sees the
+          initial value and then the same two-rounding updates in the
+          same [k] order as the j-outer nest, so results are
+          bit-identical to it. *)
   | Fail of { msg : string }
 
 type program = {
@@ -551,6 +583,96 @@ let exec (p : program) ~(iregs : int array) ~(fregs : float array)
                   ((x.(x0 + (i * sx)) -. c1) *. c2 *. gg.(g0 + (i * sg)))
                   +. bb.(b0 + (i * sb))
               done)
+    | Frow { nj; nk; init; y; a; scale; w; unsafe } ->
+        let nj = Array.unsafe_get iregs nj
+        and nk = Array.unsafe_get iregs nk in
+        let yv = Array.unsafe_get fbufs y.sbuf
+        and y0 = Array.unsafe_get iregs y.sbase in
+        let av = Array.unsafe_get fbufs a.sbuf
+        and a0 = Array.unsafe_get iregs a.sbase
+        and sa = a.sstride in
+        let wv = Array.unsafe_get fbufs w.sbuf
+        and w0 = Array.unsafe_get iregs w.sbase
+        and sw = w.sstride in
+        let c = Array.unsafe_get fregs init in
+        let ak k =
+          let x =
+            if unsafe then Array.unsafe_get av (a0 + (k * sa))
+            else av.(a0 + (k * sa))
+          in
+          match scale with
+          | Unscaled -> x
+          | Mul_by r -> x *. Array.unsafe_get fregs r
+          | Div_by r -> x /. Array.unsafe_get fregs r
+        in
+        (* k steps by 4: each y[j] is loaded once, takes four
+           consecutive updates and is stored once; the remainder
+           steps one k at a time *)
+        let k4 = nk land -4 in
+        if unsafe then begin
+          for j = 0 to nj - 1 do
+            Array.unsafe_set yv (y0 + j) c
+          done;
+          let k = ref 0 in
+          while !k < k4 do
+            let k0 = !k in
+            let x0 = ak k0 and x1 = ak (k0 + 1) in
+            let x2 = ak (k0 + 2) and x3 = ak (k0 + 3) in
+            let r0 = w0 + (k0 * sw) in
+            let r1 = r0 + sw in
+            let r2 = r1 + sw in
+            let r3 = r2 + sw in
+            for j = 0 to nj - 1 do
+              let v = Array.unsafe_get yv (y0 + j) in
+              let v = v +. (x0 *. Array.unsafe_get wv (r0 + j)) in
+              let v = v +. (x1 *. Array.unsafe_get wv (r1 + j)) in
+              let v = v +. (x2 *. Array.unsafe_get wv (r2 + j)) in
+              let v = v +. (x3 *. Array.unsafe_get wv (r3 + j)) in
+              Array.unsafe_set yv (y0 + j) v
+            done;
+            k := k0 + 4
+          done;
+          while !k < nk do
+            let x = ak !k and r = w0 + (!k * sw) in
+            for j = 0 to nj - 1 do
+              let v = Array.unsafe_get yv (y0 + j) in
+              Array.unsafe_set yv (y0 + j) (v +. (x *. Array.unsafe_get wv (r + j)))
+            done;
+            incr k
+          done
+        end
+        else begin
+          for j = 0 to nj - 1 do
+            yv.(y0 + j) <- c
+          done;
+          let k = ref 0 in
+          while !k < k4 do
+            let k0 = !k in
+            let x0 = ak k0 and x1 = ak (k0 + 1) in
+            let x2 = ak (k0 + 2) and x3 = ak (k0 + 3) in
+            let r0 = w0 + (k0 * sw) in
+            let r1 = r0 + sw in
+            let r2 = r1 + sw in
+            let r3 = r2 + sw in
+            for j = 0 to nj - 1 do
+              let v = yv.(y0 + j) in
+              let v = v +. (x0 *. wv.(r0 + j)) in
+              let v = v +. (x1 *. wv.(r1 + j)) in
+              let v = v +. (x2 *. wv.(r2 + j)) in
+              let v = v +. (x3 *. wv.(r3 + j)) in
+              yv.(y0 + j) <- v
+            done;
+            k := k0 + 4
+          done;
+          while !k < nk do
+            let x = ak !k and r = w0 + (!k * sw) in
+            for j = 0 to nj - 1 do
+              let v = yv.(y0 + j) in
+              yv.(y0 + j) <- v +. (x *. wv.(r + j))
+            done;
+            incr k
+          done
+        end
     | Fail { msg } -> fail msg);
     incr pc
   done
@@ -637,6 +759,11 @@ let floop_str (op : floop_op) =
       Printf.sprintf "map.norm %s <- %s, f%d, f%d, %s, %s" (stream_str dst)
         (stream_str src) c1 c2 (stream_str g) (stream_str b)
 
+let kscale_str = function
+  | Unscaled -> ""
+  | Mul_by r -> Printf.sprintf " * f%d" r
+  | Div_by r -> Printf.sprintf " / f%d" r
+
 let mem_str op dst_or_src buf addr off =
   Printf.sprintf "%s r%d, b%d[i%d%s]" op dst_or_src buf addr
     (if off = 0 then "" else Printf.sprintf "+%d" off)
@@ -685,6 +812,13 @@ let instr_to_string = function
       Printf.sprintf "floop%s i%d, f%d: %s"
         (if unsafe then ".u" else "")
         n acc (floop_str op)
+  | Frow { nj; nk; init; y; a; scale; w; unsafe } ->
+      Printf.sprintf
+        "frow%s j<i%d, k<i%d: b%d[i%d + j] = f%d; += (b%d[i%d + k*%d]%s) * \
+         b%d[i%d + k*%d + j]"
+        (if unsafe then ".u" else "")
+        nj nk y.sbuf y.sbase init a.sbuf a.sbase a.sstride (kscale_str scale)
+        w.sbuf w.sbase w.sstride
   | Fail { msg } -> Printf.sprintf "fail %S" msg
 
 let to_string (p : program) =
@@ -705,9 +839,10 @@ let count_mem (p : program) =
       match ins with
       | Fload_u _ | Fstore_u _ | Iload_u _ | Istore_u _ -> (unsafe + 1, checked)
       | Fload _ | Fstore _ | Iload _ | Istore _ -> (unsafe, checked + 1)
-      | Floop { unsafe = u; _ } ->
-          (* a fused loop is one memory-touching instruction whose
-             element accesses are all checked or all unsafe *)
+      | Floop { unsafe = u; _ } | Frow { unsafe = u; _ } ->
+          (* a fused loop or row-stream nest is one memory-touching
+             instruction whose element accesses are all checked or all
+             unsafe *)
           if u then (unsafe + 1, checked) else (unsafe, checked + 1)
       | _ -> (unsafe, checked))
     (0, 0) p.code

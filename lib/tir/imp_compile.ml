@@ -17,6 +17,13 @@
      {!Imp.floop_op} templates (strided reductions, streaming maps)
      fuse into a single [Imp.Floop] superinstruction whose trip loop
      runs natively, eliminating per-element dispatch entirely;
+   - a loop whose body is a row-stream reduction nest
+     [Y[..j..] = c; for k: Y[..j..] += a(k) * W[..k..j..]] with [Y]
+     and [W] unit-stride in [j] (matmul rows, attention's value loop)
+     lowers to one [Imp.Frow] that runs k-outer, j-inner: each output
+     element still sees [c] and then the same two-rounding updates in
+     the same [k] order, while [W] is read along rows instead of down
+     columns;
    - remaining innermost single-store loops are unrolled by 4, and
      float reductions whose accumulator address is loop-invariant are
      promoted to a register with a fused-dispatch multiply-accumulate
@@ -62,7 +69,7 @@ type ctx = {
   mutable n_buf : int;
   mutable n_lbl : int;
   ipool : (int, int) Hashtbl.t;  (* int constant -> level-0 ireg *)
-  fpool : (float, int) Hashtbl.t;
+  fpool : (int64, int) Hashtbl.t;  (* keyed by bits: 0.0 <> -0.0 *)
   elide : bool;  (* proved safe: emit unsafe loads/stores *)
   (* reduction promotion: loads of (buffer id, these indices) read the
      accumulator register instead of memory *)
@@ -117,12 +124,13 @@ let iconst ctx v =
       r
 
 let fconst ctx v =
-  match Hashtbl.find_opt ctx.fpool v with
+  let key = Int64.bits_of_float v in
+  match Hashtbl.find_opt ctx.fpool key with
   | Some r -> r
   | None ->
       let r = new_freg ctx in
       emit_at ctx 0 (Imp.Fconst { dst = r; v });
-      Hashtbl.replace ctx.fpool v r;
+      Hashtbl.replace ctx.fpool key r;
       r
 
 let sym_lookup ctx (v : Arith.Var.t) = Hashtbl.find_opt ctx.sym v.Arith.Var.id
@@ -292,6 +300,26 @@ let rec is_float_expr (e : Texpr.t) =
   | Texpr.Cast (dt, _) -> Base.Dtype.is_float dt
   | Texpr.Select (_, a, b) -> is_float_expr a || is_float_expr b
 
+(* The flat offset of an access as one index expression over the
+   given row-major strides, or [None] when an index is not a pure
+   index expression (it loads) or the rank is wrong. *)
+let flat_expr (strides : int array) (il : Texpr.t list) : Arith.Expr.t option =
+  let as_idx = List.map Texpr.as_index il in
+  if
+    List.length il <> Array.length strides
+    || not (List.for_all Option.is_some as_idx)
+  then None
+  else
+    Some
+      (List.fold_left
+         (fun (d, acc) ie ->
+           ( d + 1,
+             Arith.Expr.add acc
+               (Arith.Expr.mul (Option.get ie) (Arith.Expr.const strides.(d)))
+           ))
+         (0, Arith.Expr.const 0) as_idx
+      |> snd)
+
 let rec comp_texpr ctx (e : Texpr.t) : rcode =
   match e with
   | Texpr.Imm_int c -> Ri (iconst ctx c)
@@ -343,42 +371,30 @@ and flat_addr ctx what (s : bslot) (idxs : Texpr.t list) : int =
   let rank = Array.length s.strides in
   if List.length idxs <> rank then
     fail "rank mismatch: %d indices for rank-%d buffer" (List.length idxs) rank;
-  let as_idx = List.map Texpr.as_index idxs in
-  if List.for_all Option.is_some as_idx then
-    let flat =
-      List.fold_left
-        (fun (d, acc) ie ->
+  match flat_expr s.strides idxs with
+  | Some flat -> comp_arith ctx flat
+  | None ->
+      let codes = List.map (fun i -> to_i what (comp_texpr ctx i)) idxs in
+      let addr = ref (-1) in
+      List.iteri
+        (fun d code ->
+          let stride = s.strides.(d) in
           let term =
-            Arith.Expr.mul (Option.get ie) (Arith.Expr.const s.strides.(d))
+            if stride = 1 then code
+            else begin
+              let r = new_ireg ctx in
+              emit ctx (Imp.Imuli { dst = r; a = code; imm = stride });
+              r
+            end
           in
-          (d + 1, Arith.Expr.add acc term))
-        (0, Arith.Expr.const 0) as_idx
-      |> snd
-    in
-    comp_arith ctx flat
-  else begin
-    let codes = List.map (fun i -> to_i what (comp_texpr ctx i)) idxs in
-    let addr = ref (-1) in
-    List.iteri
-      (fun d code ->
-        let stride = s.strides.(d) in
-        let term =
-          if stride = 1 then code
+          if !addr < 0 then addr := term
           else begin
             let r = new_ireg ctx in
-            emit ctx (Imp.Imuli { dst = r; a = code; imm = stride });
-            r
-          end
-        in
-        if !addr < 0 then addr := term
-        else begin
-          let r = new_ireg ctx in
-          emit ctx (Imp.Ibin { op = Imp.Add; dst = r; a = !addr; b = term });
-          addr := r
-        end)
-      codes;
-    if !addr < 0 then iconst ctx 0 else !addr
-  end
+            emit ctx (Imp.Ibin { op = Imp.Add; dst = r; a = !addr; b = term });
+            addr := r
+          end)
+        codes;
+      if !addr < 0 then iconst ctx 0 else !addr
 
 and comp_binop ctx op ea eb : rcode =
   let ca = comp_texpr ctx ea in
@@ -566,10 +582,10 @@ let rec single_store = function
 (* Linear decomposition of an index expression with respect to the
    innermost loop variable: [lin ctx v e = Some (base, stride)] when
    [e = base + v * stride] with [base] free of [v] and [stride] a
-   per-signature constant (shape variables resolve through [ctx.sym]).
+   per-signature constant (shape variables resolve through [lookup]).
    The base keeps the original subterm structure wherever possible so
    [comp_arith]'s memo shares registers with the generic lowering. *)
-let rec lin ctx (var : Arith.Var.t) (e : Arith.Expr.t) :
+let rec lin lookup (var : Arith.Var.t) (e : Arith.Expr.t) :
     (Arith.Expr.t * int) option =
   if not (Arith.Var.Set.mem var (Arith.Expr.free_vars e)) then Some (e, 0)
   else
@@ -577,21 +593,21 @@ let rec lin ctx (var : Arith.Var.t) (e : Arith.Expr.t) :
     | Arith.Expr.Var x when x.Arith.Var.id = var.Arith.Var.id ->
         Some (Arith.Expr.const 0, 1)
     | Arith.Expr.Add (a, b) -> (
-        match (lin ctx var a, lin ctx var b) with
+        match (lin lookup var a, lin lookup var b) with
         | Some (ba, sa), Some (bb, sb) -> Some (Arith.Expr.add ba bb, sa + sb)
         | _ -> None)
     | Arith.Expr.Sub (a, b) -> (
-        match (lin ctx var a, lin ctx var b) with
+        match (lin lookup var a, lin lookup var b) with
         | Some (ba, sa), Some (bb, sb) -> Some (Arith.Expr.sub ba bb, sa - sb)
         | _ -> None)
     | Arith.Expr.Mul (a, b) -> (
-        match (lin ctx var a, lin ctx var b) with
+        match (lin lookup var a, lin lookup var b) with
         | Some (ba, 0), Some (bb, sb) -> (
-            match Arith.Expr.eval_opt (sym_lookup ctx) ba with
+            match Arith.Expr.eval_opt lookup ba with
             | Some c -> Some (Arith.Expr.mul ba bb, c * sb)
             | None -> None)
         | Some (ba, sa), Some (bb, 0) -> (
-            match Arith.Expr.eval_opt (sym_lookup ctx) bb with
+            match Arith.Expr.eval_opt lookup bb with
             | Some c -> Some (Arith.Expr.mul ba bb, sa * c)
             | None -> None)
         | _ -> None)
@@ -658,27 +674,11 @@ let funop_of_texpr_unop = function
    even that from firing when the rolled loop would not have run. *)
 let comp_floop ctx (var : Arith.Var.t) n_reg (b : Buffer.t) idxs v : bool =
   let s = slot_of ctx b in
-  let flat_expr (sl : bslot) (il : Texpr.t list) : Arith.Expr.t option =
-    let as_idx = List.map Texpr.as_index il in
-    if
-      List.length il <> Array.length sl.strides
-      || not (List.for_all Option.is_some as_idx)
-    then None
-    else
-      Some
-        (List.fold_left
-           (fun (d, acc) ie ->
-             ( d + 1,
-               Arith.Expr.add acc
-                 (Arith.Expr.mul (Option.get ie)
-                    (Arith.Expr.const sl.strides.(d))) ))
-           (0, Arith.Expr.const 0) as_idx
-        |> snd)
-  in
-  match (if s.is_float then flat_expr s idxs else None) with
+  let lin = lin (sym_lookup ctx) in
+  match (if s.is_float then flat_expr s.strides idxs else None) with
   | None -> false
   | Some store_flat -> (
-      match lin ctx var store_flat with
+      match lin var store_flat with
       | None -> false
       | Some (store_base, store_stride) ->
           let loads_store_buf e =
@@ -698,9 +698,9 @@ let comp_floop ctx (var : Arith.Var.t) n_reg (b : Buffer.t) idxs v : bool =
                 let sl = slot_of ctx b' in
                 if not sl.is_float then None
                 else
-                  match flat_expr sl li with
+                  match flat_expr sl.strides li with
                   | None -> None
-                  | Some fe -> lin ctx var fe |> Option.map (fun (be, st) -> (sl, be, st)))
+                  | Some fe -> lin var fe |> Option.map (fun (be, st) -> (sl, be, st)))
             | _ -> None
           in
           let inv_memo = ref [] in
@@ -917,6 +917,154 @@ let comp_floop ctx (var : Arith.Var.t) n_reg (b : Buffer.t) idxs v : bool =
                     (Imp.Floop { n = n_reg; acc = 0; op; unsafe = ctx.elide }))
           | None, None -> false))
 
+(* ---------- row-stream reduction nests (Imp.Frow) ---------- *)
+
+(* A loop over [j] whose body is
+
+     Y[..j..] = c; for k: Y[..j..] = Y[..j..] + a(k) * W[..k..j..]
+
+   (matmul's row, attention's value loop) qualifies for k-outer,
+   j-inner execution when [c] is a float constant, [Y] and [W] are
+   float buffers with stride 1 in [j], [a(k)] is a float load linear
+   in [k] and free of [j] — optionally multiplied or divided by an
+   expression free of both [j] and [k] — and no operand loads [Y]. The
+   [k] extent must not depend on [j]. *)
+type row_stream = {
+  y : Buffer.t;
+  y_base : Arith.Expr.t;
+  init : float;
+  k_extent : Arith.Expr.t;
+  a : Buffer.t;
+  a_base : Arith.Expr.t;
+  a_stride : int;
+  scale : (Texpr.binop * Texpr.t) option;  (* [Mul] or [Div] *)
+  w : Buffer.t;
+  w_base : Arith.Expr.t;
+  w_stride : int;
+}
+
+let match_row_stream ~lookup ~shape (j : Arith.Var.t) (body : Stmt.t) :
+    row_stream option =
+  let is_float_buf (b : Buffer.t) = Base.Dtype.is_float b.Buffer.dtype in
+  match body with
+  | Stmt.Seq
+      [ Stmt.Store (y, yi, Texpr.Imm_float init);
+        Stmt.For { var = k; extent = k_extent; body = kbody; _ } ]
+    when is_float_buf y
+         && not (Arith.Var.Set.mem j (Arith.Expr.free_vars k_extent)) -> (
+      let is_y (b : Buffer.t) = b.Buffer.id = y.Buffer.id in
+      let operand_buf b = is_float_buf b && not (is_y b) in
+      (* [(base, j-stride, k-stride)] of an access's flat offset *)
+      let lin2 (b : Buffer.t) il =
+        match flat_expr (strides_of (shape b)) il with
+        | None -> None
+        | Some fe -> (
+            match lin lookup j fe with
+            | None -> None
+            | Some (bj, sj) ->
+                lin lookup k bj |> Option.map (fun (base, sk) -> (base, sj, sk)))
+      in
+      match single_store kbody with
+      | Some
+          ( y',
+            yi',
+            Texpr.Binop
+              ( Texpr.Add,
+                Texpr.Load (y'', yi''),
+                Texpr.Binop (Texpr.Mul, ea, Texpr.Load (w, wi)) ) )
+        when is_y y' && is_y y'' && yi' = yi && yi'' = yi && operand_buf w -> (
+          let a_load, scale =
+            match ea with
+            | Texpr.Binop (((Texpr.Mul | Texpr.Div) as op), (Texpr.Load _ as l), inv)
+              when not
+                     (texpr_uses_var j inv || texpr_uses_var k inv
+                     || List.exists (fun (b, _) -> is_y b) (Texpr.loads inv)) ->
+                (l, Some (op, inv))
+            | _ -> (ea, None)
+          in
+          match a_load with
+          | Texpr.Load (a, ai) when operand_buf a -> (
+              match (lin2 y yi, lin2 a ai, lin2 w wi) with
+              | ( Some (y_base, 1, 0),
+                  Some (a_base, 0, a_stride),
+                  Some (w_base, 1, w_stride) ) ->
+                  Some
+                    {
+                      y;
+                      y_base;
+                      init;
+                      k_extent;
+                      a;
+                      a_base;
+                      a_stride;
+                      scale;
+                      w;
+                      w_base;
+                      w_stride;
+                    }
+              | _ -> None)
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
+let row_stream_extent ~lookup ~shape j body =
+  match_row_stream ~lookup ~shape j body |> Option.map (fun m -> m.k_extent)
+
+(* Lower a matching nest to one {!Imp.Frow}. Like [comp_floop], the
+   instruction is guarded by a zero-trip jump on [j], and the
+   invariant scale factor is evaluated once, only when the [k] loop
+   runs (the j-outer nest evaluates it at [j = 0, k = 0] first).
+   Reading [a] and [W] across the whole row before [Y] is final is the
+   restrict-style no-aliasing assumption register promotion already
+   makes. *)
+let comp_row ctx (j : Arith.Var.t) nj_reg (body : Stmt.t) : bool =
+  match
+    match_row_stream ~lookup:(sym_lookup ctx)
+      ~shape:(fun b -> (slot_of ctx b).shape)
+      j body
+  with
+  | None -> false
+  | Some m ->
+      let stream (b : Buffer.t) base stride =
+        {
+          Imp.sbuf = (slot_of ctx b).index;
+          sbase = comp_arith ctx base;
+          sstride = stride;
+        }
+      in
+      push_level ctx;
+      let l_done = new_lbl ctx in
+      emit ctx (Imp.Jge { a = iconst ctx 0; b = nj_reg; target = l_done });
+      let nk = comp_arith ctx m.k_extent in
+      let y = stream m.y m.y_base 1 in
+      let a = stream m.a m.a_base m.a_stride in
+      let w = stream m.w m.w_base m.w_stride in
+      let scale =
+        match m.scale with
+        | None -> Imp.Unscaled
+        | Some (op, inv) ->
+            let l_inv = new_lbl ctx in
+            emit ctx (Imp.Jge { a = iconst ctx 0; b = nk; target = l_inv });
+            let r = to_f ctx (comp_texpr ctx inv) in
+            emit_lbl ctx l_inv;
+            if op = Texpr.Div then Imp.Div_by r else Imp.Mul_by r
+      in
+      emit ctx
+        (Imp.Frow
+           {
+             nj = nj_reg;
+             nk;
+             init = fconst ctx m.init;
+             y;
+             a;
+             scale;
+             w;
+             unsafe = ctx.elide;
+           });
+      emit_lbl ctx l_done;
+      splice ctx (pop_level ctx);
+      true
+
 let rec comp_stmt ctx (s : Stmt.t) : unit =
   match s with
   | Stmt.Seq ss -> List.iter (comp_stmt ctx) ss
@@ -1000,6 +1148,7 @@ and comp_for ctx var extent body =
    | Some (b, idxs, v) ->
        if not (comp_floop ctx var n_reg b idxs v) then
          comp_unrolled ctx var vreg n_reg b idxs v
+   | None when comp_row ctx var n_reg body -> ()
    | None ->
        push_level ctx;
        comp_stmt ctx body;

@@ -3,9 +3,12 @@
     Per (kernel, shape signature): symbolic shapes become constants,
     loop-invariant index arithmetic is hoisted to the loop level of
     its deepest variable, buffer accesses become flat offsets into raw
-    storage, innermost single-store loops are unrolled by 4 with
-    register-promoted accumulators (and dispatch-fused
-    multiply-accumulate) for float reductions. Results are
+    storage, innermost single-store loops fuse into native trip loops
+    ([Imp.Floop]) or are unrolled by 4 with register-promoted
+    accumulators (and dispatch-fused multiply-accumulate) for float
+    reductions, and row-stream reduction nests (matmul rows,
+    attention's value loop) run k-outer over unit-stride rows
+    ([Imp.Frow], see {!row_stream_extent}). Results are
     bit-identical to {!Interp} and {!Compile} on valid programs
     (differential-tested in test/test_compile.ml).
 
@@ -18,6 +21,20 @@
 type compiled = Base.Ndarray.t list -> unit
 (** A bound kernel: call with arguments whose shapes match the
     signature it was compiled for (outputs mutated in place). *)
+
+val row_stream_extent :
+  lookup:(Arith.Var.t -> int option) ->
+  shape:(Buffer.t -> int array) ->
+  Arith.Var.t ->
+  Stmt.t ->
+  Arith.Expr.t option
+(** [row_stream_extent ~lookup ~shape j body] is [Some nk] when a
+    loop over [j] with this [body] lowers to one {!Imp.Frow} — the
+    nest [Y[..j..] = c; for k < nk: Y[..j..] = Y[..j..] + a(k) *
+    W[..k..j..]] with [Y] and [W] unit-stride in [j] — and [None]
+    otherwise. [lookup] resolves shape variables and [shape] gives a
+    buffer's concrete shape. This is the predicate the lowering
+    itself uses; {!Cost.est_imp_ns} shares it. *)
 
 val lower :
   ?sym_args:(Arith.Var.t * int) list ->

@@ -6,7 +6,8 @@
    path; outputs must be bit-identical. Also covers the compiled-kernel
    cache (VM and standalone), the Floor_div/Shift_right semantics
    fixes, and the @perf-smoke timing sanity check (compiled must not be
-   slower than interpreted on the matmul micro case). *)
+   slower than interpreted, nor the default imp backend slower than
+   compiled, on the matmul micro case). *)
 
 let e = Arith.Expr.const
 let sym = Arith.Var.fresh
@@ -34,18 +35,27 @@ let bits_equal_exn msg (a : Base.Ndarray.t) (b : Base.Ndarray.t) =
    imp backend (both checked and bounds-elided) on identical inputs
    (same seeds, separate arrays); all buffers — inputs included, to
    catch clobbering — must come out bit-identical across all four. *)
-let differential ?(sym_args = []) ?(seed = 0) msg (k : Tir.Prim_func.t)
-    (shapes : int array list) =
+let differential ?(sym_args = []) ?(seed = 0) ?fill msg
+    (k : Tir.Prim_func.t) (shapes : int array list) =
   let n = List.length k.Tir.Prim_func.params in
   let n_out = k.Tir.Prim_func.num_outputs in
   let mk () =
     List.mapi
       (fun i ((b : Tir.Buffer.t), shape) ->
         if i >= n - n_out then Base.Ndarray.create b.Tir.Buffer.dtype shape
-        else
-          Base.Ndarray.random_uniform
-            ~seed:((31 * i) + (7 * seed) + 3)
-            b.Tir.Buffer.dtype shape)
+        else begin
+          let nd =
+            Base.Ndarray.random_uniform
+              ~seed:((31 * i) + (7 * seed) + 3)
+              b.Tir.Buffer.dtype shape
+          in
+          (* [fill i data] overwrites input [i] in place, identically
+             for every backend's copy *)
+          (match (fill, Base.Ndarray.float_data nd) with
+          | Some f, Some data -> f i data
+          | _ -> ());
+          nd
+        end)
       (List.combine k.Tir.Prim_func.params shapes)
   in
   let ref_args = mk () in
@@ -157,6 +167,232 @@ let test_quant_kernels () =
   differential "decode_q3"
     (Tir.Kernels.decode_q3 ~name:"q3" ~k:(e 4) ~n:(e 20) f32)
     [ [| 4; 2 |]; [| 4; 1 |]; [| 4; 20 |] ]
+
+(* ---------- row-stream nests (Imp.Frow) ---------- *)
+
+let has_frow (p : Tir.Imp.program) =
+  Array.exists (function Tir.Imp.Frow _ -> true | _ -> false) p.Tir.Imp.code
+
+let has_ldot (p : Tir.Imp.program) =
+  Array.exists
+    (function
+      | Tir.Imp.Floop { op = Tir.Imp.Ldot _; _ } -> true
+      | _ -> false)
+    p.Tir.Imp.code
+
+let attention_prefill n =
+  Frontend.Attention.prefill ~name:"attention_prefill" ~heads:2 ~kv_heads:1
+    ~head_dim:4 ~n f32
+
+let attention_paged () =
+  let len = sym "len" in
+  ( len,
+    Frontend.Attention.decode_paged ~name:"attention_paged" ~batch:(e 1)
+      ~heads:2 ~kv_heads:1 ~head_dim:4 ~max_ctx:(e 20) ~len f32 )
+
+let paged_shapes =
+  [ [| 1; 2; 1; 4 |]; [| 1; 1; 20; 4 |]; [| 1; 1; 20; 4 |]; [| 1; 2; 1; 4 |] ]
+
+(* A hand-built 4x4x4 reduction nest
+   [for i, j: Y[i,j] = 0; for k: Y[i,j] += factor * weight], the two
+   factors given as functions of the loop variables. *)
+let custom_nest name ~factor ~weight =
+  let x = Tir.Buffer.create "X" [ e 4; e 4 ] f32 in
+  let w = Tir.Buffer.create "W" [ e 4; e 4 ] f32 in
+  let y = Tir.Buffer.create "Y" [ e 4; e 4 ] f32 in
+  let i = sym "i" and j = sym "j" and k = sym "k" in
+  let ei = Arith.Expr.var i
+  and ej = Arith.Expr.var j
+  and ek = Arith.Expr.var k in
+  let yi = List.map Tir.Texpr.idx [ ei; ej ] in
+  let body =
+    Tir.Stmt.for_ i (e 4)
+      (Tir.Stmt.for_ j (e 4)
+         (Tir.Stmt.seq
+            [ Tir.Stmt.Store (y, yi, Tir.Texpr.f 0.0);
+              Tir.Stmt.for_ k (e 4)
+                (Tir.Stmt.Store
+                   ( y,
+                     yi,
+                     Tir.Texpr.(
+                       Load (y, yi)
+                       +. (factor ~x ~y ei ek *. weight w ej ek)) )) ]))
+  in
+  Tir.Prim_func.create ~name ~params:[ x; w; y ] body
+
+let test_row_stream_goldens () =
+  let lower ?sym_args k shapes =
+    Tir.Imp_compile.lower ?sym_args ~elide_bounds:false k shapes
+  in
+  let expect name want k ?sym_args shapes =
+    Alcotest.(check bool) (name ^ " emits frow") want
+      (has_frow (lower ?sym_args k shapes))
+  in
+  let mm =
+    Tir.Kernels.matmul_weights ~name:"mm" ~m:(e 3) ~k:(e 5) ~n:(e 4) f32
+  in
+  expect "matmul_weights" true mm [ [| 3; 5 |]; [| 5; 4 |]; [| 3; 4 |] ];
+  expect "batched matmul" true
+    (Tir.Kernels.matmul ~name:"bmm" ~batch:[ e 2 ] ~m:(e 3) ~k:(e 5) ~n:(e 4)
+       f32)
+    [ [| 2; 3; 5 |]; [| 2; 5; 4 |]; [| 2; 3; 4 |] ];
+  (* matmul + relu epilogue merged into one kernel; the matmul output
+     becomes a shared-scope temp *)
+  let x = Tir.Buffer.create "x" [ e 3; e 5 ] f32 in
+  let w = Tir.Buffer.create "w" [ e 5; e 4 ] f32 in
+  let t = Tir.Buffer.create "t" [ e 3; e 4 ] f32 in
+  let y = Tir.Buffer.create "y" [ e 3; e 4 ] f32 in
+  let relu =
+    Tir.Kernels.unary ~name:"relu" ~op:Tir.Kernels.relu [ e 3; e 4 ] f32
+  in
+  let fused =
+    Tir.Fuse.merge ~name:"fused_mm_relu" ~inputs:[ x; w ] ~outputs:[ y ]
+      ~temps:[ t ]
+      ~calls:
+        [ { Tir.Fuse.callee = mm; buffer_args = [ x; w; t ]; sym_args = [] };
+          { Tir.Fuse.callee = relu; buffer_args = [ t; y ]; sym_args = [] } ]
+      ()
+  in
+  let fused_shapes = [ [| 3; 5 |]; [| 5; 4 |]; [| 3; 4 |] ] in
+  expect "fused matmul + epilogue" true fused fused_shapes;
+  differential "fused matmul + epilogue" fused fused_shapes;
+  expect "attention_prefill" true (attention_prefill (e 5))
+    [ [| 2; 5; 4 |]; [| 1; 5; 4 |]; [| 1; 5; 4 |]; [| 2; 5; 4 |] ];
+  let len, paged = attention_paged () in
+  expect "attention_paged" true paged ~sym_args:[ (len, 7) ] paged_shapes;
+  (* the printed form names every operand, the invariant divisor
+     included *)
+  let printed =
+    Tir.Imp.to_string
+      (Tir.Imp_compile.lower ~sym_args:[ (len, 7) ] ~elide_bounds:true paged
+         paged_shapes)
+  in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length printed
+      && (String.sub printed i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun sub ->
+      Alcotest.(check bool) ("printed frow has " ^ sub) true (contains sub))
+    [ "frow.u j<i"; ", k<i"; "+ j] = f"; "+ k*1] / f"; "+ k*4 + j]" ];
+  (* W[j, k]: stride 4 in j, so the nest stays a per-element dot *)
+  let transposed =
+    custom_nest "mm_wt"
+      ~factor:(fun ~x ~y:_ ei ek -> Tir.Texpr.load x [ ei; ek ])
+      ~weight:(fun w ej ek -> Tir.Texpr.load w [ ej; ek ])
+  in
+  let shapes = [ [| 4; 4 |]; [| 4; 4 |]; [| 4; 4 |] ] in
+  expect "transposed weight" false transposed shapes;
+  Alcotest.(check bool) "transposed weight stays on ldot" true
+    (has_ldot (lower transposed shapes));
+  differential "transposed weight" transposed shapes;
+  (* the factor reads Y itself: the row cannot be streamed *)
+  let reads_y =
+    custom_nest "mm_ry"
+      ~factor:(fun ~x:_ ~y ei ek -> Tir.Texpr.load y [ ei; ek ])
+      ~weight:(fun w ej ek -> Tir.Texpr.load w [ ek; ej ])
+  in
+  expect "factor reads Y" false reads_y shapes;
+  differential "factor reads Y" reads_y shapes
+
+(* k extents 1..9 cover every remainder of the by-4 k step, and zero
+   extents in j and k exercise the guards. *)
+let test_row_stream_extents () =
+  for kk = 0 to 9 do
+    differential
+      (Printf.sprintf "matmul k=%d" kk)
+      (Tir.Kernels.matmul_weights ~name:"mm" ~m:(va ()) ~k:(e kk) ~n:(e 5) f32)
+      [ [| 3; kk |]; [| kk; 5 |]; [| 3; 5 |] ]
+  done;
+  differential "matmul n=0"
+    (Tir.Kernels.matmul_weights ~name:"mm" ~m:(va ()) ~k:(e 6) ~n:(e 0) f32)
+    [ [| 3; 6 |]; [| 6; 0 |]; [| 3; 0 |] ];
+  List.iter
+    (fun n ->
+      differential
+        (Printf.sprintf "attention_prefill n=%d" n)
+        (attention_prefill (va ()))
+        [ [| 2; n; 4 |]; [| 1; n; 4 |]; [| 1; n; 4 |]; [| 2; n; 4 |] ];
+      let len, paged = attention_paged () in
+      differential ~sym_args:[ (len, n) ]
+        (Printf.sprintf "attention_paged len=%d" n)
+        paged paged_shapes)
+    [ 1; 3; 4; 5; 17 ]
+
+(* Signed zeros, infinities and NaNs: the first product after the 0.0
+   init can be -0.0, and NaN payloads propagate through the same
+   operation sequence, so all of it must match bit for bit. *)
+let test_row_stream_specials () =
+  let specials = [| -0.0; 0.0; infinity; neg_infinity; nan; -1.0; 2.0 |] in
+  let fill i data =
+    Array.iteri
+      (fun p _ ->
+        if (p + i) mod 3 <> 1 then
+          data.(p) <- specials.((p * 5 + i) mod Array.length specials))
+      data
+  in
+  let neg_zero i data =
+    if i = 0 then Array.fill data 0 (Array.length data) (-0.0)
+  in
+  List.iter
+    (fun kk ->
+      let mm () =
+        Tir.Kernels.matmul_weights ~name:"mm" ~m:(va ()) ~k:(e kk) ~n:(e 6) f32
+      in
+      let shapes = [ [| 4; kk |]; [| kk; 6 |]; [| 4; 6 |] ] in
+      differential ~fill (Printf.sprintf "specials k=%d" kk) (mm ()) shapes;
+      differential ~fill:neg_zero
+        (Printf.sprintf "-0.0 products k=%d" kk)
+        (mm ()) shapes)
+    [ 1; 3; 4; 5; 7; 9 ];
+  differential ~fill "attention_prefill specials" (attention_prefill (va ()))
+    [ [| 2; 5; 4 |]; [| 1; 5; 4 |]; [| 1; 5; 4 |]; [| 2; 5; 4 |] ];
+  let len, paged = attention_paged () in
+  differential ~fill ~sym_args:[ (len, 6) ] "attention_paged specials" paged
+    paged_shapes;
+  (* 0.0 and -0.0 are distinct constants: a -0.0 row init in a kernel
+     that also stores 0.0 keeps its sign, so the -0.0 products of X =
+     -0.0 and W >= 0 sum to -0.0 *)
+  let mm =
+    custom_nest "mm_nz"
+      ~factor:(fun ~x ~y:_ ei ek -> Tir.Texpr.load x [ ei; ek ])
+      ~weight:(fun w ej ek -> Tir.Texpr.load w [ ek; ej ])
+  in
+  let z = Tir.Buffer.create "Z" [ e 4 ] f32 in
+  let rec neg_init (st : Tir.Stmt.t) : Tir.Stmt.t =
+    match st with
+    | Tir.Stmt.For r -> Tir.Stmt.For { r with body = neg_init r.body }
+    | Tir.Stmt.Seq (Tir.Stmt.Store (b, ix, Tir.Texpr.Imm_float 0.0) :: rest) ->
+        Tir.Stmt.Seq (Tir.Stmt.Store (b, ix, Tir.Texpr.f (-0.0)) :: rest)
+    | st -> st
+  in
+  let zi = sym "zi" in
+  let body =
+    Tir.Stmt.seq
+      [ Tir.Stmt.for_ zi (e 4)
+          (Tir.Stmt.Store
+             (z, [ Tir.Texpr.idx (Arith.Expr.var zi) ], Tir.Texpr.f 0.0));
+        neg_init mm.Tir.Prim_func.body ]
+  in
+  let signed =
+    match mm.Tir.Prim_func.params with
+    | [ x; w; y ] ->
+        Tir.Prim_func.create ~num_outputs:2 ~name:"mm_signed_zero"
+          ~params:[ x; w; z; y ] body
+    | _ -> assert false
+  in
+  let shapes = [ [| 4; 4 |]; [| 4; 4 |]; [| 4 |]; [| 4; 4 |] ] in
+  Alcotest.(check bool) "-0.0 init nest emits frow" true
+    (has_frow (Tir.Imp_compile.lower signed shapes));
+  let neg_zero_pos_w i data =
+    neg_zero i data;
+    if i = 1 then Array.iteri (fun p v -> data.(p) <- Float.abs v) data
+  in
+  differential ~fill:neg_zero_pos_w "-0.0 row init" signed shapes
 
 (* ---------- schedule-transformed variants ---------- *)
 
@@ -356,6 +592,7 @@ let test_elision_proved () =
   Alcotest.(check bool) "verifier proves static matmul" true
     (Analysis.Proof.memory_safe k);
   let p = Tir.Imp_compile.lower ~elide_bounds:true k shapes in
+  Alcotest.(check bool) "static matmul lowers to frow" true (has_frow p);
   let unsafe, checked = Tir.Imp.count_mem p in
   Alcotest.(check int) "no checked accesses remain" 0 checked;
   Alcotest.(check bool) "unsafe accesses present" true (unsafe > 0);
@@ -490,15 +727,25 @@ let test_perf_smoke () =
   let interp_s = time (fun () -> Tir.Interp.run k args) in
   let cache = Tir.Compile.Cache.create () in
   let compiled_s = time (fun () -> Tir.Compile.Cache.run cache k args) in
+  (* the backend that ships: imp through the exec cache with the
+     prover installed, as the VM runs it *)
+  let imp_cache =
+    Tir.Exec.Cache.create ~prove:(Analysis.Proof.prover ()) Tir.Exec.default
+  in
+  let imp_s = time (fun () -> Tir.Exec.Cache.run imp_cache k args) in
+  let ms t = t *. 1000.0 /. float_of_int reps in
   Printf.printf
     "perf-smoke matmul %dx%dx%d: interp %.2f ms/run, compiled %.2f ms/run \
-     (%.1fx)\n"
-    s s s
-    (interp_s *. 1000.0 /. float_of_int reps)
-    (compiled_s *. 1000.0 /. float_of_int reps)
-    (interp_s /. Float.max compiled_s 1e-9);
+     (%.1fx), imp %.3f ms/run (%.1fx vs compiled)\n"
+    s s s (ms interp_s) (ms compiled_s)
+    (interp_s /. Float.max compiled_s 1e-9)
+    (ms imp_s)
+    (compiled_s /. Float.max imp_s 1e-9);
   Alcotest.(check bool) "compiled <= interpreted" true
-    (compiled_s <= interp_s)
+    (compiled_s <= interp_s);
+  Alcotest.(check (option bool)) "imp elided the proved matmul" (Some true)
+    (Tir.Exec.Cache.elision_of imp_cache "mm");
+  Alcotest.(check bool) "imp <= compiled" true (imp_s <= compiled_s)
 
 let () =
   Alcotest.run "compile"
@@ -509,7 +756,13 @@ let () =
           Alcotest.test_case "reductions" `Quick test_reduction_kernels;
           Alcotest.test_case "quantized decode" `Quick test_quant_kernels;
           Alcotest.test_case "scheduled variants" `Quick
-            test_scheduled_variants ] );
+            test_scheduled_variants;
+          Alcotest.test_case "row-stream lowering goldens" `Quick
+            test_row_stream_goldens;
+          Alcotest.test_case "row-stream extents" `Quick
+            test_row_stream_extents;
+          Alcotest.test_case "row-stream special values" `Quick
+            test_row_stream_specials ] );
       ( "random",
         List.map QCheck_alcotest.to_alcotest
           [ prop_random_shapes; prop_random_schedules ] );

@@ -307,9 +307,9 @@ let test_cost_fused_excludes_shared () =
 let test_cost_imp_time_model () =
   (* The imp-backend time model must rank the bench kernels the way
      BENCH_kernels.json measures them at the large sizes: softmax
-     (transcendental-bound) > matmul (FMA-bound) > layer_norm (cheap
-     streaming passes), with distinct per-element rates for reduction
-     vs map patterns. *)
+     (transcendental-bound) > matmul (row-stream multiply-adds) >
+     layer_norm (cheap streaming passes), with distinct per-element
+     rates for reduction vs map patterns. *)
   let lookup _ = 0 in
   let est f = Tir.Cost.est_imp_ns f lookup in
   let mm =
@@ -323,6 +323,15 @@ let test_cost_imp_time_model () =
   Alcotest.(check bool) "softmax slowest (transcendentals)" true
     (sm_ns > mm_ns);
   Alcotest.(check bool) "layer_norm cheapest" true (ln_ns < mm_ns);
+  (* with i innermost, Y and W are no longer unit-stride in the inner
+     row loop: the lowering keeps the per-element dot, and the model
+     prices it at the reduction rate instead of the row-stream rate *)
+  (match Tir.Schedule.loop_vars mm with
+  | i :: j :: _ ->
+      let mm_ji = Tir.Schedule.reorder mm ~outer:i ~inner:j in
+      Alcotest.(check bool) "row-stream matmul priced below reordered" true
+        (mm_ns < est mm_ji)
+  | _ -> Alcotest.fail "expected matmul loops");
   (* transcendental accounting: softmax evaluates exp twice per
      element (sum and normalize passes) *)
   let sm_cost = Tir.Cost.analyze sm in
