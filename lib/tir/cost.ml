@@ -137,14 +137,25 @@ let total_bytes t = Arith.Expr.add t.bytes_read t.bytes_written
    runs k-outer over unit-stride rows and is priced per multiply-add
    at its own rate. Any other statement pays per-instruction
    register-machine dispatch. Transcendental library calls carry a
-   flat surcharge regardless of loop shape. The absolute numbers only
-   need to be right relative to each other: rankings compare
-   estimates against estimates. *)
+   flat surcharge regardless of loop shape. A row-stream nest big
+   enough for {!Imp.splits_row} runs split across {!Imp.split_width}
+   domains (assuming the kernel is proved, as every zoo kernel is):
+   it costs its longest range plus a per-split overhead. Publishing
+   and joining a split alone measures about 1 us; the overhead is set
+   higher, so that the model breaks even at about 14000 multiply-adds
+   per row, next to the measured crossover {!Imp.split_min_work}, and
+   prices a cache-resident 128-wide row about as it does serially.
+   That is what BENCH_kernels.json measures on the bench host, whose
+   two vCPUs share one core's floating-point units: three runs put
+   split matmul 128³ at 1.27-4.34 ms against 1.59-3.02 ms serial.
+   The absolute numbers only need to be right relative to each other:
+   rankings compare estimates against estimates. *)
 let imp_reduction_ns_per_flop = 0.55
 let imp_map_ns_per_flop = 0.65
 let imp_row_ns_per_flop = 0.5
 let imp_dispatch_ns_per_flop = 3.0
 let imp_transcendental_ns = 16.0
+let imp_split_overhead_ns = 7000.0
 
 let est_imp_ns (f : Prim_func.t) lookup : float =
   let ev e = float_of_int (Arith.Expr.eval lookup e) in
@@ -211,9 +222,22 @@ let est_imp_ns (f : Prim_func.t) lookup : float =
             | Some nk ->
                 (* one streamed init per row element, then one
                    multiply-add per (j, k) *)
-                mult *. n
-                *. (imp_map_ns_per_flop
-                   +. (Float.max (ev nk) 0.0 *. 2.0 *. imp_row_ns_per_flop))
+                let nk = max (Arith.Expr.eval lookup nk) 0 in
+                let per_j =
+                  imp_map_ns_per_flop
+                  +. (float_of_int nk *. 2.0 *. imp_row_ns_per_flop)
+                in
+                let nj = int_of_float n in
+                if Imp.splits_row ~nj ~nk then begin
+                  let b = Imp.split_bounds ~width:Imp.split_width nj in
+                  let longest = ref 0 in
+                  for r = 0 to Array.length b - 2 do
+                    longest := max !longest (b.(r + 1) - b.(r))
+                  done;
+                  mult
+                  *. ((float_of_int !longest *. per_j) +. imp_split_overhead_ns)
+                end
+                else mult *. n *. per_j
             | None -> walk (mult *. n) body))
     | Stmt.Store (b, idxs, v) -> mult *. store_cost ~fused:false b idxs v
     | Stmt.If (c, t, e) ->

@@ -39,7 +39,10 @@ val est_imp_ns : Prim_func.t -> (Arith.Var.t -> int) -> float
     slightly higher streaming-map rate otherwise; a loop whose body is
     a row-stream nest ({!Imp_compile.row_stream_extent}, matmul and
     attention's value loop) is priced per multiply-add at the
-    row-stream rate; statements outside those forms pay
+    row-stream rate, and when {!Imp.splits_row} holds, as its longest
+    {!Imp.split_bounds} range plus a per-split overhead (the kernel
+    assumed proved, so its rows run split); statements outside those
+    forms pay
     per-instruction dispatch; transcendental calls carry a flat
     surcharge either way. Calibrated against BENCH_kernels.json so
     rankings agree with measured imp-backend times; only the relative

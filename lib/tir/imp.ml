@@ -28,6 +28,10 @@
      first operand of the add; with two NaN operands x86 returns the
      first, so NaN signs and payloads come out as in the interpreter
      (the special-value differential in test_compile pins this).
+     [Fma] let-binds its accumulator for the same reason.
+   - A proved [Frow] with enough work splits its [j] range across a
+     small pool of domains ([Pool] below); each output element is
+     still computed by one domain in the serial order.
    - Jump targets are absolute instruction indices. {!Imp_compile}
      emits symbolic label ids and resolves them when flattening. *)
 
@@ -192,6 +196,211 @@ type program = {
 
 let fail msg = raise (Interp.Runtime_error msg)
 
+(* ---------- split row streams on a Domain pool ---------- *)
+
+(* A proved [Frow] (the [unsafe] form) with enough work runs as
+   contiguous, disjoint [j] ranges on a small pool of stdlib domains.
+   Each [y[j]] is written by exactly one domain, with the same init
+   and the same k-ordered updates as the serial nest, so results stay
+   bit-identical for any width. The [Frow] match already proves the
+   [j] iterations independent (no operand loads [Y]; restrict
+   contract), and only kernels the prover certified in-bounds split,
+   so a bounds exception cannot start in a helper. See DESIGN.md §12,
+   step 5.
+
+   The threshold is the measured serial/split crossover of one-row
+   (decode) matmuls with weights streamed from memory on the 2-vCPU
+   bench host: rows of 64 outputs ran 0.6-0.7x as fast split at 4096
+   and 8192 multiply-adds and 1.1-1.6x at 16384 and above, and rows of
+   16 or 32 outputs lost at every depth; the publish-and-join costs
+   about 1 us against about 16 us of work at the threshold. *)
+let split_min_nj = 64
+let split_min_work = 16384
+
+(* Pool width: the caller plus [split_width - 1] helpers. Capped so a
+   many-core host does not start dozens of domains for rows a few
+   cache lines wide. *)
+let split_width = max 1 (min 8 (Domain.recommended_domain_count ()))
+
+let splits_row ~nj ~nk =
+  split_width > 1 && nj >= split_min_nj && nj * nk >= split_min_work
+
+(* [split_bounds ~width nj] cuts [\[0, nj)] into at most [width]
+   non-empty contiguous ranges of whole 8-float blocks (one cache
+   line), so no two domains write the same line; range [r] is
+   [\[b.(r), b.(r+1))] and every boundary but [nj] is a multiple of 8.
+   [nj = 0] gives the single empty range. *)
+let split_bounds ~width nj =
+  let blocks = (nj + 7) / 8 in
+  let parts = max 1 (min width blocks) in
+  Array.init (parts + 1) (fun r -> min nj (8 * (r * blocks / parts)))
+
+module Pool = struct
+  type job = {
+    body : int -> int -> unit;
+    bounds : int array;
+    next : int Atomic.t;  (** next unclaimed range *)
+    left : int Atomic.t;  (** ranges past 0 not finished yet *)
+    failed : (exn * Printexc.raw_backtrace) option Atomic.t;
+  }
+
+  (* An idle helper polls for a new job for this many
+     [Domain.cpu_relax] rounds (about 30 ns each, so about 1 ms, on
+     the bench host), then blocks on [wake]. In OCaml 5 every minor
+     collection stops all domains, and a domain blocked in a system
+     call takes part through a backup thread that must be woken each
+     time: with one blocked helper and no split at all,
+     generate-small's decode ran 19% slower (183 -> 148 tok/s). A
+     polling helper costs a collection almost nothing, so the window
+     is long enough to span the gaps between the rows of one request:
+     raw decode ran 1.2-1.5x the parent's with it, 1.1-1.3x with a
+     60 us window. *)
+  let spin_rounds = 30000
+
+  let busy = Atomic.make false
+  let current : job option Atomic.t = Atomic.make None
+  let generation = Atomic.make 0
+  let stopping = Atomic.make false
+  let lock = Mutex.create ()
+  let wake = Condition.create ()
+  let sleepers = Atomic.make 0
+  let wakeups = Atomic.make 0
+  let helpers : unit Domain.t list ref = ref []
+  let starts = Atomic.make 0
+  let splits = Atomic.make 0
+
+  let record job e =
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Atomic.compare_and_set job.failed None (Some (e, bt)))
+
+  (* Claim and run ranges until none is left unclaimed. Like the rest
+     of a helper's loop it allocates nothing, so a helper never starts
+     a minor collection of its own. *)
+  let rec work job =
+    let r = Atomic.fetch_and_add job.next 1 in
+    if r < Array.length job.bounds - 1 then begin
+      (try job.body job.bounds.(r) job.bounds.(r + 1) with e -> record job e);
+      Atomic.decr job.left;
+      work job
+    end
+
+  let fresh seen = Atomic.get generation <> seen || Atomic.get stopping
+
+  (* Wait for a generation other than [seen]: poll first, then block.
+     A blocking helper counts itself in [sleepers] and re-reads the
+     generation under [lock] before every wait; a publisher bumps the
+     generation first, then reads [sleepers] and, if any, takes and
+     drops [lock] before it broadcasts. Either the helper sees the new
+     generation or the publisher sees the sleeper, so no wake-up is
+     lost, and a polling pool costs the publisher no syscall. *)
+  let rec await seen i =
+    if fresh seen then ()
+    else if i < spin_rounds then begin
+      Domain.cpu_relax ();
+      await seen (i + 1)
+    end
+    else begin
+      Mutex.lock lock;
+      Atomic.incr sleepers;
+      while not (fresh seen) do
+        Condition.wait wake lock
+      done;
+      Atomic.decr sleepers;
+      Atomic.incr wakeups;
+      Mutex.unlock lock
+    end
+
+  (* Called after the generation or [stopping] changed. The broadcast
+     comes after the unlock, so a woken helper never finds [lock]
+     still held by the publisher. *)
+  let wake_sleepers () =
+    if Atomic.get sleepers > 0 then begin
+      Mutex.lock lock;
+      Mutex.unlock lock;
+      Condition.broadcast wake
+    end
+
+  let rec helper seen =
+    await seen 0;
+    if not (Atomic.get stopping) then begin
+      let g = Atomic.get generation in
+      (match Atomic.get current with Some job -> work job | None -> ());
+      helper g
+    end
+
+  let stop () =
+    Atomic.set stopping true;
+    wake_sleepers ();
+    List.iter Domain.join !helpers;
+    helpers := []
+
+  let () = at_exit stop
+
+  (* Started on the first split only, so programs that never run a
+     large proved row never pay for a second domain in every minor
+     collection. A new helper first looks for the job after generation
+     [seen], the one being published. A host that refuses a domain
+     stops the pool for good, so it stays serial. *)
+  let ensure seen =
+    if Atomic.get starts = 0 then
+      for _ = 2 to split_width do
+        match Domain.spawn (fun () -> helper seen) with
+        | d ->
+            Atomic.incr starts;
+            helpers := d :: !helpers
+        | exception _ -> Atomic.set stopping true
+      done
+
+  (* Run [body lo hi] over every range of [split_bounds nj]: the caller
+     runs range 0, then claims what the helpers have not started yet,
+     then waits for the rest, and re-raises the first exception any
+     range raised. The caller never depends on a helper for progress:
+     one that is slow to wake costs at most a serial row. A call with a
+     single range, or one that finds the pool busy (from inside a
+     range, or from another domain), runs [body 0 nj] serially. *)
+  let run nj body =
+    let bounds = split_bounds ~width:split_width nj in
+    let n = Array.length bounds - 1 in
+    if n < 2 || Atomic.get stopping
+       || not (Atomic.compare_and_set busy false true)
+    then body 0 nj
+    else begin
+      let job =
+        {
+          body;
+          bounds;
+          next = Atomic.make 1;
+          left = Atomic.make (n - 1);
+          failed = Atomic.make None;
+        }
+      in
+      let seen = Atomic.get generation in
+      Atomic.set current (Some job);
+      Atomic.incr generation;
+      ensure seen;
+      wake_sleepers ();
+      (try body bounds.(0) bounds.(1) with e -> record job e);
+      work job;
+      while Atomic.get job.left > 0 do
+        Domain.cpu_relax ()
+      done;
+      Atomic.set current None;
+      Atomic.incr splits;
+      Atomic.set busy false;
+      match Atomic.get job.failed with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ()
+    end
+end
+
+(* Observability for tests and benches: how many rows ran split, how
+   many helper domains have been started (0 until the first split), how
+   many are blocked now, and how many times a blocked one was woken. *)
+let split_count () = Atomic.get Pool.splits
+let helper_starts () = Atomic.get Pool.starts
+let helpers_sleeping () = Atomic.get Pool.sleepers
+let helper_wakeups () = Atomic.get Pool.wakeups
+
 (* The hot loop. All register and code accesses are unsafe: indices
    are produced by the compiler, never by data. Buffer *element*
    accesses are checked or unsafe according to the emitted opcode. *)
@@ -297,9 +506,12 @@ let exec (p : program) ~(iregs : int array) ~(fregs : float array)
         Array.unsafe_set iregs dst
           (if Array.unsafe_get fregs a <> 0.0 then 1 else 0)
     | Fma { acc; a; b } ->
+        (* let-bound like [Frow]'s running value: a direct load as the
+           first operand would become the memory operand of the add,
+           which swaps the NaN x86 returns *)
+        let v = Array.unsafe_get fregs acc in
         Array.unsafe_set fregs acc
-          (Array.unsafe_get fregs acc
-          +. (Array.unsafe_get fregs a *. Array.unsafe_get fregs b))
+          (v +. (Array.unsafe_get fregs a *. Array.unsafe_get fregs b))
     | Ffloat_of_int { dst; src } ->
         Array.unsafe_set fregs dst (float_of_int (Array.unsafe_get iregs src))
     | Fint_of_float { dst; src } ->
@@ -595,7 +807,9 @@ let exec (p : program) ~(iregs : int array) ~(fregs : float array)
         and w0 = Array.unsafe_get iregs w.sbase
         and sw = w.sstride in
         let c = Array.unsafe_get fregs init in
-        let ak k =
+        (* inlined so [a_k] stays unboxed: a row allocates nothing
+           per [k], in the caller or in a helper domain *)
+        let[@inline] ak k =
           let x =
             if unsafe then Array.unsafe_get av (a0 + (k * sa))
             else av.(a0 + (k * sa))
@@ -607,72 +821,76 @@ let exec (p : program) ~(iregs : int array) ~(fregs : float array)
         in
         (* k steps by 4: each y[j] is loaded once, takes four
            consecutive updates and is stored once; the remainder
-           steps one k at a time *)
+           steps one k at a time. [row jl jh] computes y[jl..jh), the
+           whole row serially or one range of a split. *)
         let k4 = nk land -4 in
-        if unsafe then begin
-          for j = 0 to nj - 1 do
-            Array.unsafe_set yv (y0 + j) c
-          done;
-          let k = ref 0 in
-          while !k < k4 do
-            let k0 = !k in
-            let x0 = ak k0 and x1 = ak (k0 + 1) in
-            let x2 = ak (k0 + 2) and x3 = ak (k0 + 3) in
-            let r0 = w0 + (k0 * sw) in
-            let r1 = r0 + sw in
-            let r2 = r1 + sw in
-            let r3 = r2 + sw in
-            for j = 0 to nj - 1 do
-              let v = Array.unsafe_get yv (y0 + j) in
-              let v = v +. (x0 *. Array.unsafe_get wv (r0 + j)) in
-              let v = v +. (x1 *. Array.unsafe_get wv (r1 + j)) in
-              let v = v +. (x2 *. Array.unsafe_get wv (r2 + j)) in
-              let v = v +. (x3 *. Array.unsafe_get wv (r3 + j)) in
-              Array.unsafe_set yv (y0 + j) v
+        let row jl jh =
+          if unsafe then begin
+            for j = jl to jh - 1 do
+              Array.unsafe_set yv (y0 + j) c
             done;
-            k := k0 + 4
-          done;
-          while !k < nk do
-            let x = ak !k and r = w0 + (!k * sw) in
-            for j = 0 to nj - 1 do
-              let v = Array.unsafe_get yv (y0 + j) in
-              Array.unsafe_set yv (y0 + j) (v +. (x *. Array.unsafe_get wv (r + j)))
+            let k = ref 0 in
+            while !k < k4 do
+              let k0 = !k in
+              let x0 = ak k0 and x1 = ak (k0 + 1) in
+              let x2 = ak (k0 + 2) and x3 = ak (k0 + 3) in
+              let r0 = w0 + (k0 * sw) in
+              let r1 = r0 + sw in
+              let r2 = r1 + sw in
+              let r3 = r2 + sw in
+              for j = jl to jh - 1 do
+                let v = Array.unsafe_get yv (y0 + j) in
+                let v = v +. (x0 *. Array.unsafe_get wv (r0 + j)) in
+                let v = v +. (x1 *. Array.unsafe_get wv (r1 + j)) in
+                let v = v +. (x2 *. Array.unsafe_get wv (r2 + j)) in
+                let v = v +. (x3 *. Array.unsafe_get wv (r3 + j)) in
+                Array.unsafe_set yv (y0 + j) v
+              done;
+              k := k0 + 4
             done;
-            incr k
-          done
-        end
-        else begin
-          for j = 0 to nj - 1 do
-            yv.(y0 + j) <- c
-          done;
-          let k = ref 0 in
-          while !k < k4 do
-            let k0 = !k in
-            let x0 = ak k0 and x1 = ak (k0 + 1) in
-            let x2 = ak (k0 + 2) and x3 = ak (k0 + 3) in
-            let r0 = w0 + (k0 * sw) in
-            let r1 = r0 + sw in
-            let r2 = r1 + sw in
-            let r3 = r2 + sw in
-            for j = 0 to nj - 1 do
-              let v = yv.(y0 + j) in
-              let v = v +. (x0 *. wv.(r0 + j)) in
-              let v = v +. (x1 *. wv.(r1 + j)) in
-              let v = v +. (x2 *. wv.(r2 + j)) in
-              let v = v +. (x3 *. wv.(r3 + j)) in
-              yv.(y0 + j) <- v
+            while !k < nk do
+              let x = ak !k and r = w0 + (!k * sw) in
+              for j = jl to jh - 1 do
+                let v = Array.unsafe_get yv (y0 + j) in
+                Array.unsafe_set yv (y0 + j) (v +. (x *. Array.unsafe_get wv (r + j)))
+              done;
+              incr k
+            done
+          end
+          else begin
+            for j = jl to jh - 1 do
+              yv.(y0 + j) <- c
             done;
-            k := k0 + 4
-          done;
-          while !k < nk do
-            let x = ak !k and r = w0 + (!k * sw) in
-            for j = 0 to nj - 1 do
-              let v = yv.(y0 + j) in
-              yv.(y0 + j) <- v +. (x *. wv.(r + j))
+            let k = ref 0 in
+            while !k < k4 do
+              let k0 = !k in
+              let x0 = ak k0 and x1 = ak (k0 + 1) in
+              let x2 = ak (k0 + 2) and x3 = ak (k0 + 3) in
+              let r0 = w0 + (k0 * sw) in
+              let r1 = r0 + sw in
+              let r2 = r1 + sw in
+              let r3 = r2 + sw in
+              for j = jl to jh - 1 do
+                let v = yv.(y0 + j) in
+                let v = v +. (x0 *. wv.(r0 + j)) in
+                let v = v +. (x1 *. wv.(r1 + j)) in
+                let v = v +. (x2 *. wv.(r2 + j)) in
+                let v = v +. (x3 *. wv.(r3 + j)) in
+                yv.(y0 + j) <- v
+              done;
+              k := k0 + 4
             done;
-            incr k
-          done
-        end
+            while !k < nk do
+              let x = ak !k and r = w0 + (!k * sw) in
+              for j = jl to jh - 1 do
+                let v = yv.(y0 + j) in
+                yv.(y0 + j) <- v +. (x *. wv.(r + j))
+              done;
+              incr k
+            done
+          end
+        in
+        if unsafe && splits_row ~nj ~nk then Pool.run nj row else row 0 nj
     | Fail { msg } -> fail msg);
     incr pc
   done

@@ -323,18 +323,26 @@ let test_row_stream_extents () =
         paged paged_shapes)
     [ 1; 3; 4; 5; 17 ]
 
+(* Signed zeros, infinities and NaNs of both signs, written over two
+   of every three elements of float input [i] (integer inputs keep
+   their random data): inf - inf, 0 * inf and NaN + NaN all occur, so
+   NaN signs and payloads must propagate exactly as in [Interp]. *)
+let special_values =
+  [| -0.0; 0.0; infinity; neg_infinity; nan; -.nan; -1.0; 2.0 |]
+
+let fill_specials i data =
+  Array.iteri
+    (fun p _ ->
+      if (p + i) mod 3 <> 1 then
+        data.(p) <-
+          special_values.(((p * 5) + i) mod Array.length special_values))
+    data
+
 (* Signed zeros, infinities and NaNs: the first product after the 0.0
    init can be -0.0, and NaN payloads propagate through the same
    operation sequence, so all of it must match bit for bit. *)
 let test_row_stream_specials () =
-  let specials = [| -0.0; 0.0; infinity; neg_infinity; nan; -1.0; 2.0 |] in
-  let fill i data =
-    Array.iteri
-      (fun p _ ->
-        if (p + i) mod 3 <> 1 then
-          data.(p) <- specials.((p * 5 + i) mod Array.length specials))
-      data
-  in
+  let fill = fill_specials in
   let neg_zero i data =
     if i = 0 then Array.fill data 0 (Array.length data) (-0.0)
   in
@@ -393,6 +401,196 @@ let test_row_stream_specials () =
     if i = 1 then Array.iteri (fun p v -> data.(p) <- Float.abs v) data
   in
   differential ~fill:neg_zero_pos_w "-0.0 row init" signed shapes
+
+(* The same special values through every other kernel family. Row
+   lengths 9 and 13 leave a remainder after the promoted loops'
+   4-way unroll, and the two seeds move the specials across lanes. *)
+let test_family_specials () =
+  let d ?(seed = 0) name k shapes =
+    differential ~seed ~fill:fill_specials name k shapes
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (name, op) ->
+          d ~seed name
+            (Tir.Kernels.unary ~name ~op [ va (); vb () ] f32)
+            [ [| 3; 13 |]; [| 3; 13 |] ])
+        [ ("exp", fun x -> Tir.Texpr.Unop (Tir.Texpr.Exp, x));
+          ("relu", Tir.Kernels.relu);
+          ("silu", Tir.Kernels.silu);
+          ("gelu", Tir.Kernels.gelu);
+          ("sigmoid", fun x -> Tir.Texpr.Unop (Tir.Texpr.Sigmoid, x));
+          ("tanh", fun x -> Tir.Texpr.Unop (Tir.Texpr.Tanh, x));
+          ("neg", fun x -> Tir.Texpr.Unop (Tir.Texpr.Neg, x)) ];
+      d ~seed "add"
+        (Tir.Kernels.binary ~name:"add"
+           ~op:(fun a b -> Tir.Texpr.(a +. b))
+           [ va (); vb () ] f32)
+        [ [| 4; 9 |]; [| 4; 9 |]; [| 4; 9 |] ];
+      let a = va () and b = vb () in
+      d ~seed "broadcast_mul"
+        (Tir.Kernels.broadcast_binary ~name:"bmul"
+           ~op:(fun x y -> Tir.Texpr.(x *. y))
+           ~lhs:[ a; b ] ~rhs:[ b ] f32)
+        [ [| 4; 9 |]; [| 9 |]; [| 4; 9 |] ];
+      List.iter
+        (fun (name, kind) ->
+          List.iter
+            (fun r ->
+              d ~seed
+                (Printf.sprintf "%s r=%d" name r)
+                (Tir.Kernels.reduce ~name ~kind [ va (); vb () ] f32)
+                [ [| 4; r |]; [| 4 |] ])
+            [ 9; 13 ])
+        [ ("rsum", `Sum); ("rmean", `Mean); ("rmax", `Max) ];
+      List.iter
+        (fun r ->
+          d ~seed
+            (Printf.sprintf "softmax r=%d" r)
+            (Tir.Kernels.softmax_last ~name:"sm" [ va (); vb () ] f32)
+            [ [| 3; r |]; [| 3; r |] ];
+          d ~seed
+            (Printf.sprintf "rms_norm r=%d" r)
+            (Tir.Kernels.rms_norm ~name:"rn" [ va (); vb () ] ~eps:1e-5 f32)
+            [ [| 3; r |]; [| r |]; [| 3; r |] ];
+          d ~seed
+            (Printf.sprintf "layer_norm r=%d" r)
+            (Tir.Kernels.layer_norm ~name:"ln" [ va (); vb () ] ~eps:1e-5 f32)
+            [ [| 3; r |]; [| r |]; [| r |]; [| 3; r |] ])
+        [ 9; 13 ];
+      d ~seed "decode_q4"
+        (Tir.Kernels.decode_q4 ~name:"q4" ~k:(e 5) ~n:(e 32) f32)
+        [ [| 5; 4 |]; [| 5; 1 |]; [| 5; 32 |] ];
+      d ~seed "decode_q3"
+        (Tir.Kernels.decode_q3 ~name:"q3" ~k:(e 5) ~n:(e 20) f32)
+        [ [| 5; 2 |]; [| 5; 1 |]; [| 5; 20 |] ];
+      d ~seed "split_k_matmul"
+        (Tir.Kernels.split_k_matmul ~name:"mmsk" ~m:(e 4) ~k:(e 16) ~n:(e 3)
+           ~splits:2 f32)
+        [ [| 4; 16 |]; [| 16; 3 |]; [| 4; 3 |] ];
+      d ~seed "attention_decode"
+        (Frontend.Attention.decode ~name:"attention_decode" ~batch:(e 1)
+           ~heads:2 ~kv_heads:1 ~head_dim:4 ~m:(va ()) f32)
+        [ [| 1; 2; 1; 4 |]; [| 1; 1; 9; 4 |]; [| 1; 1; 9; 4 |];
+          [| 1; 2; 1; 4 |] ];
+      d ~seed "rope_prefill"
+        (Frontend.Attention.rope_prefill ~name:"rope" ~heads:2 ~head_dim:4
+           ~n:(va ()) f32)
+        [ [| 2; 9; 4 |]; [| 2; 9; 4 |] ];
+      (* a squared weight is no stream: neither Frow nor Ldot matches,
+         so the k loop takes the register-promoted Fma form *)
+      let sq =
+        custom_nest "mm_sq"
+          ~factor:(fun ~x ~y:_ ei ek -> Tir.Texpr.load x [ ei; ek ])
+          ~weight:(fun w ej ek ->
+            Tir.Texpr.(load w [ ek; ej ] *. load w [ ek; ej ]))
+      in
+      let shapes = [ [| 4; 4 |]; [| 4; 4 |]; [| 4; 4 |] ] in
+      Alcotest.(check bool) "squared weight lowers to fma" true
+        (Array.exists
+           (function Tir.Imp.Fma _ -> true | _ -> false)
+           (Tir.Imp_compile.lower sq shapes).Tir.Imp.code);
+      d ~seed "promoted fma" sq shapes)
+    [ 0; 1 ]
+
+(* ---------- split row streams (Imp.Pool) ---------- *)
+
+(* [differential], plus a check that the elided run took the split
+   path ([split]) or stayed serial, whenever the host has a second
+   domain to split onto. *)
+let split_differential ?sym_args ?fill ~split msg k shapes =
+  let before = Tir.Imp.split_count () in
+  differential ?sym_args ?fill msg k shapes;
+  if Tir.Imp.split_width >= 2 then
+    Alcotest.(check bool)
+      (msg ^ if split then " ran split" else " stayed serial")
+      split
+      (Tir.Imp.split_count () > before)
+
+let test_split_rows () =
+  List.iter
+    (fun m ->
+      List.iter
+        (fun kk ->
+          List.iter
+            (fun n ->
+              split_differential ~split:true
+                (Printf.sprintf "split matmul m=%d k=%d n=%d" m kk n)
+                (Tir.Kernels.matmul_weights ~name:"mm" ~m:(va ()) ~k:(e kk)
+                   ~n:(e n) f32)
+                [ [| m; kk |]; [| kk; n |]; [| m; n |] ])
+            [ 64; 200; 513 ])
+        [ 256; 257; 259 ])
+    [ 1; 3 ];
+  split_differential ~split:true "split batched matmul"
+    (Tir.Kernels.matmul ~name:"bmm" ~batch:[ e 2 ] ~m:(va ()) ~k:(e 130)
+       ~n:(e 136) f32)
+    [ [| 2; 3; 130 |]; [| 2; 130; 136 |]; [| 2; 3; 136 |] ];
+  (* matmul + silu(t) * u merged into one kernel, t a shared temp *)
+  let mm =
+    Tir.Kernels.matmul_weights ~name:"mm" ~m:(e 2) ~k:(e 257) ~n:(e 200) f32
+  in
+  let glu =
+    Tir.Kernels.binary ~name:"silu_mul"
+      ~op:(fun a b -> Tir.Texpr.(Tir.Kernels.silu a *. b))
+      [ e 2; e 200 ] f32
+  in
+  let x = Tir.Buffer.create "x" [ e 2; e 257 ] f32 in
+  let w = Tir.Buffer.create "w" [ e 257; e 200 ] f32 in
+  let u = Tir.Buffer.create "u" [ e 2; e 200 ] f32 in
+  let t = Tir.Buffer.create "t" [ e 2; e 200 ] f32 in
+  let y = Tir.Buffer.create "y" [ e 2; e 200 ] f32 in
+  let fused =
+    Tir.Fuse.merge ~name:"fused_mm_silu_mul" ~inputs:[ x; w; u ]
+      ~outputs:[ y ] ~temps:[ t ]
+      ~calls:
+        [ { Tir.Fuse.callee = mm; buffer_args = [ x; w; t ]; sym_args = [] };
+          { Tir.Fuse.callee = glu; buffer_args = [ t; u; y ]; sym_args = [] } ]
+      ()
+  in
+  split_differential ~split:true "split fused matmul + silu*mul" fused
+    [ [| 2; 257 |]; [| 257; 200 |]; [| 2; 200 |]; [| 2; 200 |] ];
+  (* the value loop of paged attention: 64 outputs (head_dim) by len
+     k steps, on either side of the 16384 multiply-add threshold *)
+  List.iter
+    (fun (n, split) ->
+      let len = sym "len" in
+      let paged =
+        Frontend.Attention.decode_paged ~name:"attention_paged" ~batch:(e 1)
+          ~heads:2 ~kv_heads:1 ~head_dim:64 ~max_ctx:(e 256) ~len f32
+      in
+      split_differential ~split ~sym_args:[ (len, n) ]
+        (Printf.sprintf "attention_paged head_dim=64 len=%d" n)
+        paged
+        [ [| 1; 2; 1; 64 |]; [| 1; 1; 256; 64 |]; [| 1; 1; 256; 64 |];
+          [| 1; 2; 1; 64 |] ])
+    [ (255, false); (256, true) ];
+  split_differential ~split:true ~fill:fill_specials "split matmul specials"
+    (Tir.Kernels.matmul_weights ~name:"mm" ~m:(va ()) ~k:(e 257) ~n:(e 200)
+       f32)
+    [ [| 3; 257 |]; [| 257; 200 |]; [| 3; 200 |] ]
+
+let test_split_bounds () =
+  for width = 1 to 8 do
+    for nj = 0 to 300 do
+      let b = Tir.Imp.split_bounds ~width nj in
+      let n = Array.length b - 1 in
+      let msg = Printf.sprintf "width=%d nj=%d" width nj in
+      Alcotest.(check bool) (msg ^ ": 1..width ranges") true
+        (n >= 1 && n <= width);
+      Alcotest.(check int) (msg ^ ": starts at 0") 0 b.(0);
+      Alcotest.(check int) (msg ^ ": ends at nj") nj b.(n);
+      for r = 0 to n - 1 do
+        if nj > 0 then
+          Alcotest.(check bool) (msg ^ ": non-empty, ordered") true
+            (b.(r) < b.(r + 1));
+        if r > 0 then
+          Alcotest.(check int) (msg ^ ": cache-line boundary") 0
+            (b.(r) mod 8)
+      done
+    done
+  done
 
 (* ---------- schedule-transformed variants ---------- *)
 
@@ -762,7 +960,11 @@ let () =
           Alcotest.test_case "row-stream extents" `Quick
             test_row_stream_extents;
           Alcotest.test_case "row-stream special values" `Quick
-            test_row_stream_specials ] );
+            test_row_stream_specials;
+          Alcotest.test_case "special values, every family" `Quick
+            test_family_specials;
+          Alcotest.test_case "split rows" `Quick test_split_rows;
+          Alcotest.test_case "split bounds" `Quick test_split_bounds ] );
       ( "random",
         List.map QCheck_alcotest.to_alcotest
           [ prop_random_shapes; prop_random_schedules ] );
