@@ -140,22 +140,21 @@ let total_bytes t = Arith.Expr.add t.bytes_read t.bytes_written
    flat surcharge regardless of loop shape. A row-stream nest big
    enough for {!Imp.splits_row} runs split across {!Imp.split_width}
    domains (assuming the kernel is proved, as every zoo kernel is):
-   it costs its longest range plus a per-split overhead. Publishing
-   and joining a split alone measures about 1 us; the overhead is set
-   higher, so that the model breaks even at about 14000 multiply-adds
-   per row, next to the measured crossover {!Imp.split_min_work}, and
-   prices a cache-resident 128-wide row about as it does serially.
-   That is what BENCH_kernels.json measures on the bench host, whose
-   two vCPUs share one core's floating-point units: three runs put
-   split matmul 128³ at 1.27-4.34 ms against 1.59-3.02 ms serial.
+   it costs its longest range plus the measured cost of publishing and
+   joining an empty split on the 2-vCPU bench host (0.6-0.9 us over six
+   runs). matmul 128³ sits below {!Imp.split_min_nj} and is priced
+   serially, as it runs. Over six kernel-bench runs it took
+   0.46-1.29x (median 0.85x) as long as layer_norm 256×1024; the row
+   rate is set to that median ratio against layer_norm's estimate,
+   whose own rates were calibrated in an earlier, faster host phase.
    The absolute numbers only need to be right relative to each other:
    rankings compare estimates against estimates. *)
 let imp_reduction_ns_per_flop = 0.55
 let imp_map_ns_per_flop = 0.65
-let imp_row_ns_per_flop = 0.5
+let imp_row_ns_per_flop = 0.35
 let imp_dispatch_ns_per_flop = 3.0
 let imp_transcendental_ns = 16.0
-let imp_split_overhead_ns = 7000.0
+let imp_split_overhead_ns = 800.0
 
 let est_imp_ns (f : Prim_func.t) lookup : float =
   let ev e = float_of_int (Arith.Expr.eval lookup e) in

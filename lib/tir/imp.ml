@@ -208,19 +208,24 @@ let fail msg = raise (Interp.Runtime_error msg)
    so a bounds exception cannot start in a helper. See DESIGN.md §12,
    step 5.
 
-   The threshold is the measured serial/split crossover of one-row
-   (decode) matmuls with weights streamed from memory on the 2-vCPU
-   bench host: rows of 64 outputs ran 0.6-0.7x as fast split at 4096
-   and 8192 multiply-adds and 1.1-1.6x at 16384 and above, and rows of
-   16 or 32 outputs lost at every depth; the publish-and-join costs
-   about 1 us against about 16 us of work at the threshold. *)
-let split_min_nj = 64
+   The threshold is the measured serial/split crossover of matmul rows
+   on the 2-vCPU bench host, for single rows whose weights stream from
+   memory (decode) and for 16- and 128-row matmuls whose weights stay
+   in cache (prefill, the kernel bench). Cold rows ran 1.1-1.7x as fast
+   split from 64 outputs up, but cache-resident rows of 64 or 128
+   outputs ran 0.5-1.0x (matmul 128^3: 0.52-0.98x) and only rows of 256
+   outputs or more gained (mostly 1.15-1.7x) once a row holds 16384
+   multiply-adds; below that they ran 0.6-1.1x. Rows of 16 or 32
+   outputs lost at every depth. An empty publish-and-join costs
+   0.6-0.9 us. *)
+let split_min_nj = 256
 let split_min_work = 16384
 
-(* Pool width: the caller plus [split_width - 1] helpers. Capped so a
-   many-core host does not start dozens of domains for rows a few
-   cache lines wide. *)
-let split_width = max 1 (min 8 (Domain.recommended_domain_count ()))
+(* Pool width: the caller plus [split_width - 1] helpers. Capped at 2,
+   the only width the threshold, the spin window below and the cost
+   model's split overhead were measured at; a wider pool needs its own
+   measurement on a host with more cores. *)
+let split_width = max 1 (min 2 (Domain.recommended_domain_count ()))
 
 let splits_row ~nj ~nk =
   split_width > 1 && nj >= split_min_nj && nj * nk >= split_min_work

@@ -509,38 +509,40 @@ let split_differential ?sym_args ?fill ~split msg k shapes =
       (Tir.Imp.split_count () > before)
 
 let test_split_rows () =
+  (* rows of 256 outputs or more split (every k here gives them at
+     least 16384 multiply-adds); narrower rows stay serial *)
   List.iter
     (fun m ->
       List.iter
         (fun kk ->
           List.iter
             (fun n ->
-              split_differential ~split:true
+              split_differential ~split:(n >= 256)
                 (Printf.sprintf "split matmul m=%d k=%d n=%d" m kk n)
                 (Tir.Kernels.matmul_weights ~name:"mm" ~m:(va ()) ~k:(e kk)
                    ~n:(e n) f32)
                 [ [| m; kk |]; [| kk; n |]; [| m; n |] ])
-            [ 64; 200; 513 ])
+            [ 64; 200; 256; 513 ])
         [ 256; 257; 259 ])
     [ 1; 3 ];
   split_differential ~split:true "split batched matmul"
     (Tir.Kernels.matmul ~name:"bmm" ~batch:[ e 2 ] ~m:(va ()) ~k:(e 130)
-       ~n:(e 136) f32)
-    [ [| 2; 3; 130 |]; [| 2; 130; 136 |]; [| 2; 3; 136 |] ];
+       ~n:(e 264) f32)
+    [ [| 2; 3; 130 |]; [| 2; 130; 264 |]; [| 2; 3; 264 |] ];
   (* matmul + silu(t) * u merged into one kernel, t a shared temp *)
   let mm =
-    Tir.Kernels.matmul_weights ~name:"mm" ~m:(e 2) ~k:(e 257) ~n:(e 200) f32
+    Tir.Kernels.matmul_weights ~name:"mm" ~m:(e 2) ~k:(e 257) ~n:(e 264) f32
   in
   let glu =
     Tir.Kernels.binary ~name:"silu_mul"
       ~op:(fun a b -> Tir.Texpr.(Tir.Kernels.silu a *. b))
-      [ e 2; e 200 ] f32
+      [ e 2; e 264 ] f32
   in
   let x = Tir.Buffer.create "x" [ e 2; e 257 ] f32 in
-  let w = Tir.Buffer.create "w" [ e 257; e 200 ] f32 in
-  let u = Tir.Buffer.create "u" [ e 2; e 200 ] f32 in
-  let t = Tir.Buffer.create "t" [ e 2; e 200 ] f32 in
-  let y = Tir.Buffer.create "y" [ e 2; e 200 ] f32 in
+  let w = Tir.Buffer.create "w" [ e 257; e 264 ] f32 in
+  let u = Tir.Buffer.create "u" [ e 2; e 264 ] f32 in
+  let t = Tir.Buffer.create "t" [ e 2; e 264 ] f32 in
+  let y = Tir.Buffer.create "y" [ e 2; e 264 ] f32 in
   let fused =
     Tir.Fuse.merge ~name:"fused_mm_silu_mul" ~inputs:[ x; w; u ]
       ~outputs:[ y ] ~temps:[ t ]
@@ -550,26 +552,26 @@ let test_split_rows () =
       ()
   in
   split_differential ~split:true "split fused matmul + silu*mul" fused
-    [ [| 2; 257 |]; [| 257; 200 |]; [| 2; 200 |]; [| 2; 200 |] ];
-  (* the value loop of paged attention: 64 outputs (head_dim) by len
+    [ [| 2; 257 |]; [| 257; 264 |]; [| 2; 264 |]; [| 2; 264 |] ];
+  (* the value loop of paged attention: 256 outputs (head_dim) by len
      k steps, on either side of the 16384 multiply-add threshold *)
   List.iter
     (fun (n, split) ->
       let len = sym "len" in
       let paged =
         Frontend.Attention.decode_paged ~name:"attention_paged" ~batch:(e 1)
-          ~heads:2 ~kv_heads:1 ~head_dim:64 ~max_ctx:(e 256) ~len f32
+          ~heads:2 ~kv_heads:1 ~head_dim:256 ~max_ctx:(e 64) ~len f32
       in
       split_differential ~split ~sym_args:[ (len, n) ]
-        (Printf.sprintf "attention_paged head_dim=64 len=%d" n)
+        (Printf.sprintf "attention_paged head_dim=256 len=%d" n)
         paged
-        [ [| 1; 2; 1; 64 |]; [| 1; 1; 256; 64 |]; [| 1; 1; 256; 64 |];
-          [| 1; 2; 1; 64 |] ])
-    [ (255, false); (256, true) ];
+        [ [| 1; 2; 1; 256 |]; [| 1; 1; 64; 256 |]; [| 1; 1; 64; 256 |];
+          [| 1; 2; 1; 256 |] ])
+    [ (63, false); (64, true) ];
   split_differential ~split:true ~fill:fill_specials "split matmul specials"
-    (Tir.Kernels.matmul_weights ~name:"mm" ~m:(va ()) ~k:(e 257) ~n:(e 200)
+    (Tir.Kernels.matmul_weights ~name:"mm" ~m:(va ()) ~k:(e 257) ~n:(e 264)
        f32)
-    [ [| 3; 257 |]; [| 257; 200 |]; [| 3; 200 |] ]
+    [ [| 3; 257 |]; [| 257; 264 |]; [| 3; 264 |] ]
 
 let test_split_bounds () =
   for width = 1 to 8 do
