@@ -606,9 +606,7 @@ let bechamel_section () =
 (* ---------- kernel execution: interpreted vs compiled ---------- *)
 
 let kernels_bench () =
-  section
-    "kernel execution: interpreter vs compiled closures vs imp register \
-     machine";
+  section "kernel execution: interpreter vs imp register machine";
   let open Bechamel in
   let open Toolkit in
   let e = Arith.Expr.const in
@@ -649,8 +647,8 @@ let kernels_bench () =
       softmax 64 256; softmax 256 1024;
       layernorm 64 256; layernorm 256 1024 ]
   in
-  Printf.printf "  %-10s %-12s %12s %12s %12s %12s %8s %6s\n" "kernel" "size"
-    "interp ns" "closure ns" "imp ns" "imp-chk ns" "vs clos" "elide";
+  Printf.printf "  %-10s %-12s %12s %12s %12s %8s %6s\n" "kernel" "size"
+    "interp ns" "imp ns" "imp-chk ns" "speedup" "elide";
   let rows =
     List.map
       (fun (kernel, size, (f : Tir.Prim_func.t), shapes) ->
@@ -670,13 +668,6 @@ let kernels_bench () =
             (Test.make
                ~name:(Printf.sprintf "interp %s %s" kernel size)
                (Staged.stage (fun () -> Tir.Interp.run f args)))
-        in
-        let closure = Tir.Compile.compile f shapes in
-        let closure_ns =
-          estimate_ns
-            (Test.make
-               ~name:(Printf.sprintf "closure %s %s" kernel size)
-               (Staged.stage (fun () -> closure args)))
         in
         (* The imp backend elides bounds checks exactly when the static
            verifier proves the kernel in-bounds — the same contract the
@@ -700,14 +691,11 @@ let kernels_bench () =
                ~name:(Printf.sprintf "imp-checked %s %s" kernel size)
                (Staged.stage (fun () -> imp_checked args)))
         in
-        let speedup = interp_ns /. closure_ns in
-        let speedup_vs_closure = closure_ns /. imp_ns in
-        Printf.printf "  %-10s %-12s %12.0f %12.0f %12.0f %12.0f %7.1fx %6s\n"
-          kernel size interp_ns closure_ns imp_ns imp_checked_ns
-          speedup_vs_closure
+        let speedup = interp_ns /. imp_ns in
+        Printf.printf "  %-10s %-12s %12.0f %12.0f %12.0f %7.1fx %6s\n"
+          kernel size interp_ns imp_ns imp_checked_ns speedup
           (if elide then "on" else "off");
-        ( kernel, size, interp_ns, closure_ns, imp_ns, imp_checked_ns, speedup,
-          speedup_vs_closure, elide ))
+        (kernel, size, interp_ns, imp_ns, imp_checked_ns, speedup, elide))
       cases
   in
   let path = out_file "BENCH_kernels.json" in
@@ -715,16 +703,12 @@ let kernels_bench () =
   Printf.fprintf oc
     "{\n  \"benchmark\": \"tir_kernel_execution\",\n  \"units\": \"ns_per_run\",\n  \"results\": [\n";
   List.iteri
-    (fun i
-         ( kernel, size, interp_ns, closure_ns, imp_ns, imp_checked_ns,
-           speedup, speedup_vs_closure, elide ) ->
+    (fun i (kernel, size, interp_ns, imp_ns, imp_checked_ns, speedup, elide) ->
       Printf.fprintf oc
         "    { \"kernel\": %S, \"size\": %S, \"interp_ns\": %.1f, \
-         \"closure_ns\": %.1f, \"imp_ns\": %.1f, \"imp_checked_ns\": %.1f, \
-         \"speedup\": %.2f, \"speedup_vs_closure\": %.2f, \
+         \"imp_ns\": %.1f, \"imp_checked_ns\": %.1f, \"speedup\": %.2f, \
          \"elide_bounds\": %b }%s\n"
-        kernel size interp_ns closure_ns imp_ns imp_checked_ns speedup
-        speedup_vs_closure elide
+        kernel size interp_ns imp_ns imp_checked_ns speedup elide
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";
@@ -1621,8 +1605,7 @@ let experiments =
     ("fig11", "workspace lifting ablation", fig11);
     ("micro", "compiler micro-benchmarks (bechamel)", bechamel_section);
     ("kernels",
-     "TIR kernels: interp vs closure vs imp backends; writes \
-      BENCH_kernels.json",
+     "TIR kernels: interp vs imp backends; writes BENCH_kernels.json",
      kernels_bench);
     ("serving",
      "continuous vs static batching serving sweep; writes BENCH_serving.json",

@@ -35,7 +35,7 @@ let usage_error fmt =
          [--ctx N] [--quant f16|q4|q3]\n\
         \       [--dump-ir] [--no-fusion] [--no-library] [--no-planning] \
          [--no-capture] [--paged]\n\
-        \       [--backend interp|closure|imp] [--trace] [--profile] \
+        \       [--backend interp|imp] [--trace] [--profile] \
          [--lint] [--verify-passes] [--json] [--fp-budget ULPS]\n\
         \       [--tp N]\n\
         \       [--serve [--rate R] [--requests N] [--policy \
@@ -341,7 +341,7 @@ let run model_name device_name batch ctx quant backend_name dump_ir no_fusion
         match Tir.Exec.backend_of_string name with
         | Some b -> b
         | None ->
-            usage_error "unknown backend %s (interp|closure|imp)" name)
+            usage_error "unknown backend %s (interp|imp)" name)
   in
   if batch < 1 then usage_error "--batch must be >= 1 (got %d)" batch;
   if ctx < 1 then usage_error "--ctx must be >= 1 (got %d)" ctx;
@@ -616,11 +616,10 @@ let backend =
     & info [ "backend" ]
         ~doc:
           "Kernel execution backend: $(b,interp) (reference tree \
-           walker), $(b,closure) (compiled OCaml closures) or $(b,imp) \
-           (flat imperative register machine with proof-elided bounds \
-           checks; the default). All three are bit-identical on valid \
-           kernels; the choice shows up in $(b,--profile)'s backend \
-           column and per-backend time split.")
+           walker) or $(b,imp) (flat imperative register machine with \
+           proof-elided bounds checks; the default). Both are \
+           bit-identical on valid kernels; the choice shows up in \
+           $(b,--profile)'s backend column and per-backend time split.")
 
 let dump_ir = Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the IR.")
 let no_fusion = Arg.(value & flag & info [ "no-fusion" ] ~doc:"Disable FuseOps.")

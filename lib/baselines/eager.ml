@@ -15,7 +15,7 @@ type env = {
   mod_ : Ir_module.t;
   vars : (int, Runtime.Vm.value) Hashtbl.t;  (** Rvar id -> value *)
   sym : (int, int) Hashtbl.t;  (** Arith var id -> value *)
-  kcache : Tir.Exec.Cache.t;  (** compiled kernels, per backend + shape sig *)
+  kcache : Tir.Exec.Cache.t;  (** compiled kernels, per shape signature *)
   st : stats;
   mutable live_bytes : int;
 }

@@ -59,7 +59,9 @@ let try_fold (e : Expr.expr) : Base.Ndarray.t option =
                       if Array.exists (fun d -> d < 0) shape then None
                       else
                         let out = Base.Ndarray.create dtype shape in
-                        match Tir.Compile.run kernel (inputs @ [ out ]) with
+                        match
+                          Tir.Imp_compile.run kernel (inputs @ [ out ])
+                        with
                         | () -> Some out
                         | exception Tir.Interp.Runtime_error _ -> None))
               | _, _ -> None)))

@@ -28,9 +28,9 @@ type row = {
   mutable origin : string option;
       (** provenance: the Relax binding that produced the call *)
   mutable backend : string;
-      (** execution backend that ran the kernel ("interp" | "closure"
-          | "imp", see {!Tir.Exec}); ["-"] for library routines and
-          rows that have not seen a launch *)
+      (** execution backend that ran the kernel ("interp" | "imp",
+          see {!Tir.Exec}); ["-"] for library routines and rows that
+          have not seen a launch *)
 }
 
 type serve_counts = {

@@ -27,7 +27,7 @@ type event =
       elapsed_us : float;
       backend : string;
           (* which execution backend ran (or, in timed mode, would
-             run) the kernel: "interp" | "closure" | "imp" *)
+             run) the kernel: "interp" | "imp" *)
     }
   | Extern_call of {
       func : string;

@@ -76,11 +76,11 @@ type t = {
   captured : (int, unit) Hashtbl.t;
   cost_cache : (string, Tir.Cost.t) Hashtbl.t;
   kernel_cache : Tir.Exec.Cache.t;
-      (* (kernel name, backend-prefixed shape signature) -> compiled
-         kernels: a decode loop compiles each kernel once and replays
-         thereafter. The backend (interp/closure/imp) is fixed at VM
-         creation; the imp backend elides bounds checks for kernels
-         Analysis.Tir_safety proves memory-safe. *)
+      (* (kernel name, shape signature) -> compiled kernels: a decode
+         loop compiles each kernel once and replays thereafter. The
+         backend (interp/imp) is fixed at VM creation; the imp backend
+         elides bounds checks for kernels Analysis.Tir_safety proves
+         memory-safe. *)
   storage_cache : (string * int, int * int) Hashtbl.t;
       (* (func, pc) -> (bytes, allocator id): planned storages are
          allocated once and reused across invocations *)

@@ -125,9 +125,9 @@ exception Vm_error of string
     itself for OOM spikes. No injector (or all-zero probabilities):
     behavior is byte-identical to a fault-free VM.
 
-    [backend] selects the kernel execution backend
-    (interp/closure/imp; default {!Tir.Exec.default}, i.e. imp). All
-    backends are bit-identical on valid kernels; imp additionally
+    [backend] selects the kernel execution backend (interp/imp;
+    default {!Tir.Exec.default}, i.e. imp). Both backends are
+    bit-identical on valid kernels; imp additionally
     elides bounds checks for kernels [Analysis.Tir_safety] proves
     memory-safe. *)
 val create :

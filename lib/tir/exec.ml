@@ -1,35 +1,30 @@
-(* Kernel execution backends and the backend-aware kernel cache.
+(* Kernel execution backends and the kernel cache.
 
-   Three ways to execute a prim func, all bit-identical on valid
-   programs (differential-tested in test/test_compile.ml):
+   Two ways to execute a prim func, bit-identical on valid programs
+   (differential-tested in test/test_compile.ml):
 
-   - [Interp]: the reference tree-walking interpreter (no caching
-     benefit beyond skipping re-unification; kept for semantics);
-   - [Closure]: {!Compile}'s nested-closure backend;
+   - [Interp]: the reference tree-walking interpreter, the semantics
+     the other backend is checked against (no caching benefit beyond
+     skipping re-unification);
    - [Imp]: {!Imp_compile}'s flat imperative register machine, the
      default. When a [prove] callback is installed (the VM injects
      [Analysis.Proof.prover], keeping this library independent of the
      analysis layer) and it vouches for a kernel, the imp backend
      elides runtime bounds checks (DESIGN.md §12).
 
-   The cache is keyed by kernel name + backend-prefixed shape
-   signature, so caches of different backends never alias — a
-   [--backend] switch can never replay code compiled for another
-   backend (test/test_compile.ml:backend cache keying). *)
+   Each cache runs one backend, fixed at [create], so a [--backend]
+   switch can never replay code compiled for another backend
+   (test/test_compile.ml, group [backend]). *)
 
-type backend = Interp | Closure | Imp
+type backend = Interp | Imp
 
 let default = Imp
-let all = [ Interp; Closure; Imp ]
+let all = [ Interp; Imp ]
 
-let backend_name = function
-  | Interp -> "interp"
-  | Closure -> "closure"
-  | Imp -> "imp"
+let backend_name = function Interp -> "interp" | Imp -> "imp"
 
 let backend_of_string = function
   | "interp" -> Some Interp
-  | "closure" -> Some Closure
   | "imp" -> Some Imp
   | _ -> None
 
@@ -65,13 +60,8 @@ module Cache = struct
   let elision_of t name =
     Option.map (fun e -> e.elide) (Hashtbl.find_opt t.entries name)
 
-  (* Same shape-signature format as {!Compile.Cache}, prefixed with
-     the backend so keys from different backends never collide. *)
-  let sig_key backend (shapes : int array list)
-      (sym_args : (Arith.Var.t * int) list) =
+  let sig_key (shapes : int array list) (sym_args : (Arith.Var.t * int) list) =
     let b = Stdlib.Buffer.create 32 in
-    Stdlib.Buffer.add_string b (backend_name backend);
-    Stdlib.Buffer.add_char b ':';
     List.iter
       (fun s ->
         Stdlib.Buffer.add_char b '[';
@@ -92,15 +82,14 @@ module Cache = struct
   let compile_for t (e : entry) ~sym_args shapes : runner =
     match t.backend with
     | Interp -> fun args -> Interp.run ~sym_args e.func args
-    | Closure -> Compile.compile ~sym_args e.func shapes
     | Imp -> Imp_compile.compile ~sym_args ~elide_bounds:e.elide e.func shapes
 
   let run t ?(sym_args = []) (f : Prim_func.t) (args : Base.Ndarray.t list) =
     let shapes = List.map (fun nd -> nd.Base.Ndarray.shape) args in
     let entry =
-      (* Keyed by name, validated by physical identity, like
-         {!Compile.Cache}: a rebuilt same-named kernel recompiles (and
-         re-proves) rather than reusing stale code. *)
+      (* Keyed by name, validated by physical identity: a rebuilt
+         same-named kernel recompiles (and re-proves) rather than
+         reusing stale code. *)
       match Hashtbl.find_opt t.entries f.Prim_func.name with
       | Some e when e.func == f -> e
       | Some _ | None ->
@@ -109,7 +98,7 @@ module Cache = struct
           Hashtbl.replace t.entries f.Prim_func.name e;
           e
     in
-    let key = sig_key t.backend shapes sym_args in
+    let key = sig_key shapes sym_args in
     let runner =
       match Hashtbl.find_opt entry.table key with
       | Some r ->

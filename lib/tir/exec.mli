@@ -1,13 +1,13 @@
-(** Kernel execution backends and the backend-aware kernel cache.
+(** Kernel execution backends and the kernel cache.
 
-    The [--backend interp|closure|imp] selector surfaces here: the VM
-    and the eager baseline execute every kernel through {!Cache.run}
-    with the backend chosen at creation. All three backends are
-    bit-identical on valid programs; [Imp] (the default) additionally
-    elides proved-redundant bounds checks when a prover is installed
-    (see {!Imp_compile} and DESIGN.md §12). *)
+    The [--backend interp|imp] selector surfaces here: the VM and the
+    eager baseline execute every kernel through {!Cache.run} with the
+    backend chosen at creation. [Interp] is the reference semantics;
+    [Imp] (the default) is bit-identical to it on valid programs and
+    additionally elides proved-redundant bounds checks when a prover
+    is installed (see {!Imp_compile} and DESIGN.md §12). *)
 
-type backend = Interp | Closure | Imp
+type backend = Interp | Imp
 
 val default : backend
 (** [Imp]. *)
@@ -32,7 +32,8 @@ module Cache : sig
     Base.Ndarray.t list ->
     unit
   (** Execute through the cache: compile on first sight of a
-      (kernel, backend-prefixed shape signature), replay after. *)
+      (kernel, shape signature), replay after. The backend is fixed
+      at {!create}, so one cache never holds another backend's code. *)
 
   val backend : t -> backend
   val hits : t -> int

@@ -1,10 +1,11 @@
 (* Flat imperative IR ("Imp") and its register-machine evaluator.
 
-   The closure backend ({!Compile}) pays one OCaml closure call per AST
-   node per element. This IR removes that dispatch: a kernel lowers
-   (see {!Imp_compile}) to a single flat [instr array] executed by a
-   program-counter loop over unboxed int/float register files, with
-   buffer accesses as flat offsets into the raw storage arrays.
+   The reference interpreter ({!Interp}) walks the AST per element,
+   boxing every value and looking variables up in hashtables. This IR
+   removes that dispatch: a kernel lowers (see {!Imp_compile}) to a
+   single flat [instr array] executed by a program-counter loop over
+   unboxed int/float register files, with buffer accesses as flat
+   offsets into the raw storage arrays.
 
    Design notes:
    - Registers are indices into two flat arrays ([int array] /
@@ -18,8 +19,7 @@
      in-bounds (see the proof-elision contract in DESIGN.md §12).
    - [Fma] is fused at the *dispatch* level only: it computes
      [acc +. (a *. b)] with two IEEE roundings, exactly like the
-     interpreter and the closure backend, so all three backends stay
-     bit-identical.
+     interpreter, so the two backends stay bit-identical.
    - [Frow] runs a whole reduction nest (matmul's row) k-outer and
      j-inner, so both its operand rows stream with unit stride. It
      keeps each output element's operation sequence, and also the
@@ -35,12 +35,12 @@
    - Jump targets are absolute instruction indices. {!Imp_compile}
      emits symbolic label ids and resolves them when flattening. *)
 
-(* Integer binary ops. Division/modulo keep the two failure behaviors
-   of the existing backends: [Div]/[Fdiv]/[Fmod] are the Texpr-level
-   ops raising {!Interp.Runtime_error} on a zero divisor, while
+(* Integer binary ops. Division/modulo keep the interpreter's two
+   failure behaviors: [Div]/[Fdiv]/[Fmod] are the Texpr-level ops
+   raising {!Interp.Runtime_error} on a zero divisor, while
    [Fdivx]/[Fmodx] are the Arith-index-level ops raising
-   [Division_by_zero] (what {!Arith.Expr.eval} and the closure
-   backend's index path do). *)
+   [Division_by_zero] (what {!Arith.Expr.eval} does on the
+   interpreter's index path). *)
 type ibin =
   | Add
   | Sub
@@ -93,9 +93,8 @@ type fsrc = Sreg of int | Sstream of stream
    maps — into single instructions whose trip loop runs natively.
    Each form performs exactly the per-element operations (same
    association, same rounding order) as the generic lowering, so
-   bit-identity with the interpreter and closure backends is
-   preserved. Loops that match no form take the generic unrolled
-   path. *)
+   bit-identity with the interpreter is preserved. Loops that match
+   no form take the generic unrolled path. *)
 type floop_op =
   | Lsum of stream  (** acc <- acc +. s[i] *)
   | Lmax of stream  (** acc <- Float.max acc s[i] *)
@@ -157,7 +156,7 @@ type instr =
       (** jump when iregs.(a) >= iregs.(b): the loop guard *)
   (* scoped scratch buffers: a fresh zeroed array per scope entry,
      released (reset to [||]) at scope exit, like the interpreter's
-     per-execution Ndarray and the closure backend's Alloc slot *)
+     per-scope Ndarray *)
   | Alloc_f of { buf : int; numel : int }
   | Alloc_i of { buf : int; numel : int }
   | Free_f of { buf : int }

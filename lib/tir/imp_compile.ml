@@ -1,8 +1,8 @@
 (* Lower tensor programs (Stmt.t) to the flat imperative IR (Imp).
 
-   Where {!Compile} translates each AST node to an OCaml closure (one
-   indirect call per node per element), this module emits a flat
-   instruction stream once per (kernel, shape signature):
+   Where {!Interp} walks the AST per element with boxed values and
+   hashtable lookups, this module emits a flat instruction stream once
+   per (kernel, shape signature):
 
    - symbolic shape variables resolve to constants, so loop extents,
      strides and constant-foldable index arithmetic become immediates;
@@ -27,17 +27,17 @@
    - remaining innermost single-store loops are unrolled by 4, and
      float reductions whose accumulator address is loop-invariant are
      promoted to a register with a fused-dispatch multiply-accumulate
-     ([Imp.Fma] — two IEEE roundings, bit-identical to the closure
-     backend's [load +. (a *. b)]).
+     ([Imp.Fma] — two IEEE roundings, bit-identical to the
+     interpreter's [load +. (a *. b)]).
 
    Float expressions (loads included) are never hoisted or shared —
-   they are emitted in statement order exactly where the closure
-   backend would evaluate them — so store/load orderings, and thus
-   results, are bit-identical to {!Interp} and {!Compile}. The only
-   sanctioned divergences are on invalid programs (same contract as
-   {!Compile}): the exact raise site of an out-of-bounds access can
-   shift across an unrolled loop's pre-header, and elided kernels skip
-   bounds checks that {!Analysis.Tir_safety} proved unreachable. *)
+   they are emitted in statement order exactly where {!Interp} would
+   evaluate them — so store/load orderings, and thus results, are
+   bit-identical to {!Interp}. The only sanctioned divergences are on
+   invalid programs: the exact raise site of an out-of-bounds access
+   can shift across an unrolled loop's pre-header, and elided kernels
+   skip bounds checks that {!Analysis.Tir_safety} proved
+   unreachable. *)
 
 let fail fmt = Format.kasprintf (fun s -> raise (Interp.Runtime_error s)) fmt
 
@@ -273,8 +273,10 @@ let truth01 ctx = function
       emit ctx (Imp.Ftruth { dst = d; a = r });
       d
 
-(* The static int/float kind of an expression, mirroring exactly the
-   kind the closure backend's [code] variant would carry. *)
+(* The static int/float kind of an expression: the kind {!Interp}'s
+   value takes at run time, except that a [Select] with one int and
+   one float arm is float here (the int arm is converted), where the
+   interpreter keeps the taken arm's kind. *)
 let rec is_float_expr (e : Texpr.t) =
   match e with
   | Texpr.Imm_int _ | Texpr.Idx _ -> false
@@ -365,8 +367,8 @@ let rec comp_texpr ctx (e : Texpr.t) : rcode =
 (* Flat address of a buffer access. When every index is a pure index
    expression we build a single [Arith.Expr] for the whole flat offset
    so its loop-invariant parts hoist and memoize; otherwise indices
-   are lowered individually in order (matching the closure backend's
-   evaluation order) and combined with the static strides. *)
+   are lowered individually in order (matching {!Interp}'s evaluation
+   order) and combined with the static strides. *)
 and flat_addr ctx what (s : bslot) (idxs : Texpr.t list) : int =
   let rank = Array.length s.strides in
   if List.length idxs <> rank then
@@ -449,7 +451,7 @@ and comp_binop ctx op ea eb : rcode =
       match (ca, cb) with
       | Ri x, Ri y -> ibin Imp.Fdiv x y
       | _ ->
-          (* floor on doubles, matching the closure backend *)
+          (* floor on doubles, matching the interpreter *)
           let x = to_f ctx ca in
           let y = to_f ctx cb in
           let q = new_freg ctx in
@@ -482,7 +484,7 @@ and comp_binop ctx op ea eb : rcode =
   | Texpr.Gt -> cmp Imp.Gt
   | Texpr.Ge -> cmp Imp.Ge
   (* Both operands are evaluated before testing truth (no
-     short-circuit), exactly like the interpreter and closures. *)
+     short-circuit), exactly like the interpreter. *)
   | Texpr.And -> logic Imp.And_
   | Texpr.Or -> logic Imp.Or_
 
@@ -530,8 +532,8 @@ and comp_unop ctx op ea : rcode =
   | Texpr.Cos -> f1 Imp.FCos
   | Texpr.Sin -> f1 Imp.FSin
 
-(* Select is lazy (like the closure backend's [if t () then x ()
-   else y ()]): the unselected arm must not execute, so it lowers to
+(* Select is lazy (like the interpreter's [if truth c then eval a
+   else eval b]): the unselected arm must not execute, so it lowers to
    branches. Index-expression memo entries created inside an arm are
    discarded afterwards — their instructions are conditionally
    skipped, so later code cannot rely on those registers. *)
@@ -732,7 +734,7 @@ let comp_floop ctx (var : Arith.Var.t) n_reg (b : Buffer.t) idxs v : bool =
           in
           (* reductions: destination address invariant in [var], value
              [self `op` rhs] with the self-load on the left like the
-             kernel zoo emits; rhs templates keep the closure backend's
+             kernel zoo emits; rhs templates keep the interpreter's
              per-element association and rounding order *)
           let red_plan =
             if store_stride <> 0 then None
@@ -1260,7 +1262,7 @@ and comp_unrolled ctx var vreg n_reg b idxs v =
            emit ctx (Imp.Fma { acc; a = rx; b = ry })
        | Texpr.Binop (Texpr.Add, Texpr.Binop (Texpr.Mul, x, y), sl)
          when is_self_load sl ->
-           (* (x *. y) +. acc: keep the operand order of the closures *)
+           (* (x *. y) +. acc: keep the interpreter's operand order *)
            let rx = to_f ctx (comp_texpr ctx x) in
            let ry = to_f ctx (comp_texpr ctx y) in
            let m = new_freg ctx in
@@ -1296,7 +1298,7 @@ let lower_internal ?(sym_args = []) ?(elide_bounds = false) (f : Prim_func.t)
   List.iter
     (fun ((v : Arith.Var.t), x) -> Hashtbl.replace sym v.Arith.Var.id x)
     sym_args;
-  Compile.unify_shapes sym f arg_shapes;
+  Interp.unify_shapes sym f arg_shapes;
   let ctx =
     {
       sym;

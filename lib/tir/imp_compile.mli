@@ -9,14 +9,14 @@
     reductions, and row-stream reduction nests (matmul rows,
     attention's value loop) run k-outer over unit-stride rows
     ([Imp.Frow], see {!row_stream_extent}). Results are
-    bit-identical to {!Interp} and {!Compile} on valid programs
-    (differential-tested in test/test_compile.ml).
+    bit-identical to {!Interp} on valid programs (differential-tested
+    in test/test_compile.ml).
 
     When [elide_bounds] is set — the caller must have proved the
     kernel memory-safe, e.g. via [Analysis.Tir_safety] (see
     DESIGN.md §12) — loads and stores use unchecked array access;
-    otherwise every access keeps OCaml's flat bounds check, exactly
-    like the closure backend. *)
+    otherwise every access keeps OCaml's bounds check on the flat
+    storage array. *)
 
 type compiled = Base.Ndarray.t list -> unit
 (** A bound kernel: call with arguments whose shapes match the

@@ -30,12 +30,12 @@ type env = {
   bufs : (int, Base.Ndarray.t) Hashtbl.t; (* Buffer id -> storage *)
 }
 
-let var_value env (v : Arith.Var.t) =
-  match Hashtbl.find_opt env.vars v.Arith.Var.id with
+let var_value vars (v : Arith.Var.t) =
+  match Hashtbl.find_opt vars v.Arith.Var.id with
   | Some x -> x
   | None -> fail "unbound symbolic variable %s" (Arith.Var.name v)
 
-let eval_arith env e = Arith.Expr.eval (var_value env) e
+let eval_arith env e = Arith.Expr.eval (var_value env.vars) e
 
 let buffer_of env (b : Buffer.t) =
   match Hashtbl.find_opt env.bufs b.Buffer.id with
@@ -158,12 +158,11 @@ let eval_shape lookup dims =
 
 (* Bind symbolic variables by unifying declared parameter shapes with
    actual argument shapes; check non-variable dims once bound. *)
-let unify_shapes env (f : Prim_func.t) args =
+let unify_shapes sym (f : Prim_func.t) (arg_shapes : int array list) =
   let deferred = ref [] in
   List.iter2
-    (fun (b : Buffer.t) (nd : Base.Ndarray.t) ->
+    (fun (b : Buffer.t) (actual : int array) ->
       let declared = b.Buffer.shape in
-      let actual = nd.Base.Ndarray.shape in
       if List.length declared <> Array.length actual then
         fail "%s: buffer %s rank mismatch (declared %d, got %d)"
           f.Prim_func.name b.Buffer.name (List.length declared)
@@ -176,22 +175,22 @@ let unify_shapes env (f : Prim_func.t) args =
                 fail "%s: buffer %s dim %d mismatch (declared %d, got %d)"
                   f.Prim_func.name b.Buffer.name d c actual.(d)
           | Arith.Expr.Var v -> (
-              match Hashtbl.find_opt env.vars v.Arith.Var.id with
+              match Hashtbl.find_opt sym v.Arith.Var.id with
               | Some bound ->
                   if bound <> actual.(d) then
                     fail
                       "%s: symbolic variable %s bound inconsistently (%d vs %d)"
                       f.Prim_func.name (Arith.Var.name v) bound actual.(d)
-              | None -> Hashtbl.replace env.vars v.Arith.Var.id actual.(d))
+              | None -> Hashtbl.replace sym v.Arith.Var.id actual.(d))
           | Arith.Expr.Add _ | Arith.Expr.Sub _ | Arith.Expr.Mul _
           | Arith.Expr.Floor_div _ | Arith.Expr.Floor_mod _ | Arith.Expr.Min _
           | Arith.Expr.Max _ ->
               deferred := (b.Buffer.name, d, dim, actual.(d)) :: !deferred)
         declared)
-    f.Prim_func.params args;
+    f.Prim_func.params arg_shapes;
   List.iter
     (fun (bname, d, dim, actual) ->
-      let v = eval_arith env dim in
+      let v = Arith.Expr.eval (var_value sym) dim in
       if v <> actual then
         fail "%s: buffer %s dim %d: %s = %d but argument has %d"
           f.Prim_func.name bname d (Arith.Expr.to_string dim) v actual)
@@ -206,7 +205,8 @@ let run ?(sym_args = []) (f : Prim_func.t) args =
   List.iter
     (fun (v, x) -> Hashtbl.replace env.vars v.Arith.Var.id x)
     sym_args;
-  unify_shapes env f args;
+  unify_shapes env.vars f
+    (List.map (fun (nd : Base.Ndarray.t) -> nd.Base.Ndarray.shape) args);
   List.iter2
     (fun (b : Buffer.t) nd -> Hashtbl.replace env.bufs b.Buffer.id nd)
     f.Prim_func.params args;

@@ -26,10 +26,18 @@ val run :
 
     @raise Runtime_error on any inconsistency. *)
 
+val unify_shapes : (int, int) Hashtbl.t -> Prim_func.t -> int array list -> unit
+(** [unify_shapes sym f arg_shapes] binds symbolic shape variables in
+    [sym] (var id -> concrete value) by unifying [f]'s declared
+    parameter shapes against [arg_shapes], as {!run} does. Shared
+    with {!Imp_compile} so both executors resolve signatures
+    identically.
+    @raise Runtime_error on rank or dimension mismatch. *)
+
 val eval_shape : (Arith.Var.t -> int) -> Arith.Expr.t list -> int array
 (** Evaluate a symbolic shape under a variable environment. *)
 
 val erf : float -> float
 (** The error-function approximation used by [Texpr.Erf]
-    (Abramowitz & Stegun 7.1.26). Shared with {!Compile} so the two
-    execution paths are bit-identical. *)
+    (Abramowitz & Stegun 7.1.26). Shared with {!Imp} so the two
+    executors are bit-identical. *)

@@ -1,13 +1,13 @@
-(* Differential suite for the compiled kernel layer (Tir.Compile).
+(* Differential suite for the compiled kernel layer (Tir.Imp_compile).
 
    Every kernel family in Tir.Kernels, plus schedule-transformed
-   variants, runs under fixed and random shapes/inputs through both
-   Tir.Interp.run (the reference semantics) and the compiled-closure
-   path; outputs must be bit-identical. Also covers the compiled-kernel
-   cache (VM and standalone), the Floor_div/Shift_right semantics
-   fixes, and the @perf-smoke timing sanity check (compiled must not be
-   slower than interpreted, nor the default imp backend slower than
-   compiled, on the matmul micro case). *)
+   variants, runs under fixed and random shapes/inputs through
+   Tir.Interp.run (the reference semantics) and the imp backend, both
+   checked and bounds-elided; outputs must be bit-identical across all
+   three. Also covers the kernel cache (VM and standalone), the
+   Floor_div/Shift_right semantics fixes, and the @perf-smoke timing
+   sanity check (the default imp backend must not be slower than the
+   interpreter on the matmul micro case). *)
 
 let e = Arith.Expr.const
 let sym = Arith.Var.fresh
@@ -31,10 +31,10 @@ let bits_equal_exn msg (a : Base.Ndarray.t) (b : Base.Ndarray.t) =
         x
   | _ -> Alcotest.failf "%s: storage kinds differ" msg
 
-(* Run [k] through the interpreter, the compiled-closure path and the
-   imp backend (both checked and bounds-elided) on identical inputs
-   (same seeds, separate arrays); all buffers — inputs included, to
-   catch clobbering — must come out bit-identical across all four. *)
+(* Run [k] through the interpreter and the imp backend (both checked
+   and bounds-elided) on identical inputs (same seeds, separate
+   arrays); all buffers — inputs included, to catch clobbering — must
+   come out bit-identical across all three. *)
 let differential ?(sym_args = []) ?(seed = 0) ?fill msg
     (k : Tir.Prim_func.t) (shapes : int array list) =
   let n = List.length k.Tir.Prim_func.params in
@@ -68,7 +68,6 @@ let differential ?(sym_args = []) ?(seed = 0) ?fill msg
         bits_equal_exn (Printf.sprintf "%s[%s arg %d]" msg tag i) r c)
       (List.combine ref_args cmp_args)
   in
-  check "closure" (Tir.Compile.run ~sym_args k);
   check "imp" (Tir.Imp_compile.run ~sym_args ~elide_bounds:false k);
   check "imp-elide" (Tir.Imp_compile.run ~sym_args ~elide_bounds:true k)
 
@@ -679,8 +678,8 @@ let test_floor_div_float () =
   Alcotest.(check (list (float 0.0))) "interp floor_div" expect
     (Base.Ndarray.to_float_list y_i);
   let y_c = Base.Ndarray.create f32 [| 4 |] in
-  Tir.Compile.run k [ x; y_c ];
-  Alcotest.(check (list (float 0.0))) "compiled floor_div" expect
+  Tir.Imp_compile.run k [ x; y_c ];
+  Alcotest.(check (list (float 0.0))) "imp floor_div" expect
     (Base.Ndarray.to_float_list y_c)
 
 let test_shift_right_arithmetic () =
@@ -707,8 +706,8 @@ let test_shift_right_arithmetic () =
   Tir.Interp.run k [ input; y_i ];
   Alcotest.(check (list int)) "interp asr" expect (ints y_i);
   let y_c = Base.Ndarray.create i32 [| 4 |] in
-  Tir.Compile.run k [ input; y_c ];
-  Alcotest.(check (list int)) "compiled asr" expect (ints y_c)
+  Tir.Imp_compile.run k [ input; y_c ];
+  Alcotest.(check (list int)) "imp asr" expect (ints y_c)
 
 (* ---------- cache behavior ---------- *)
 
@@ -718,19 +717,19 @@ let test_cache_keying () =
     Tir.Kernels.unary ~name:"relu" ~op:Tir.Kernels.relu
       [ Arith.Expr.var n ] f32
   in
-  let cache = Tir.Compile.Cache.create () in
+  let cache = Tir.Exec.Cache.create Tir.Exec.Imp in
   let run len =
     let x = Base.Ndarray.random_uniform ~seed:len f32 [| len |] in
     let y = Base.Ndarray.create f32 [| len |] in
-    Tir.Compile.Cache.run cache k [ x; y ]
+    Tir.Exec.Cache.run cache k [ x; y ]
   in
   run 4;
   run 4;
   run 8;
   Alcotest.(check int) "two shape signatures compiled" 2
-    (Tir.Compile.Cache.compiled_count cache);
-  Alcotest.(check int) "one replay hit" 1 (Tir.Compile.Cache.hits cache);
-  Alcotest.(check int) "two misses" 2 (Tir.Compile.Cache.misses cache);
+    (Tir.Exec.Cache.compiled_count cache);
+  Alcotest.(check int) "one replay hit" 1 (Tir.Exec.Cache.hits cache);
+  Alcotest.(check int) "two misses" 2 (Tir.Exec.Cache.misses cache);
   (* A distinct same-named kernel must not reuse stale code. *)
   let k2 =
     Tir.Kernels.unary ~name:"relu"
@@ -740,7 +739,7 @@ let test_cache_keying () =
   in
   let x = Base.Ndarray.of_float_list f32 [| 4 |] [ 1.0; -2.0; 3.0; -4.0 ] in
   let y = Base.Ndarray.create f32 [| 4 |] in
-  Tir.Compile.Cache.run cache k2 [ x; y ];
+  Tir.Exec.Cache.run cache k2 [ x; y ];
   Alcotest.(check (list (float 0.0))) "replaced entry recompiles"
     [ -1.0; 2.0; -3.0; 4.0 ]
     (Base.Ndarray.to_float_list y)
@@ -843,8 +842,8 @@ let test_elision_unproved () =
 (* ---------- backend selection round-trip ---------- *)
 
 (* The --backend selector must round-trip through the VM's kernel
-   cache: each backend compiles its own entries (backend-prefixed
-   signature keys, so caches never replay another backend's code),
+   cache: each backend compiles its own entries (a cache's backend is
+   fixed at creation, so it never replays another backend's code),
    replays hit only its own entries, and all backends agree
    bit-identically. *)
 let test_backend_roundtrip () =
@@ -905,7 +904,7 @@ let test_backend_roundtrip () =
         rest
   | [] -> Alcotest.fail "no backends"
 
-(* ---------- @perf-smoke: compiled must not lose to the walker ---------- *)
+(* ---------- @perf-smoke: imp must not lose to the walker ---------- *)
 
 let test_perf_smoke () =
   let s = 48 in
@@ -925,8 +924,6 @@ let test_perf_smoke () =
     Sys.time () -. t0
   in
   let interp_s = time (fun () -> Tir.Interp.run k args) in
-  let cache = Tir.Compile.Cache.create () in
-  let compiled_s = time (fun () -> Tir.Compile.Cache.run cache k args) in
   (* the backend that ships: imp through the exec cache with the
      prover installed, as the VM runs it *)
   let imp_cache =
@@ -935,17 +932,12 @@ let test_perf_smoke () =
   let imp_s = time (fun () -> Tir.Exec.Cache.run imp_cache k args) in
   let ms t = t *. 1000.0 /. float_of_int reps in
   Printf.printf
-    "perf-smoke matmul %dx%dx%d: interp %.2f ms/run, compiled %.2f ms/run \
-     (%.1fx), imp %.3f ms/run (%.1fx vs compiled)\n"
-    s s s (ms interp_s) (ms compiled_s)
-    (interp_s /. Float.max compiled_s 1e-9)
-    (ms imp_s)
-    (compiled_s /. Float.max imp_s 1e-9);
-  Alcotest.(check bool) "compiled <= interpreted" true
-    (compiled_s <= interp_s);
+    "perf-smoke matmul %dx%dx%d: interp %.2f ms/run, imp %.3f ms/run (%.1fx)\n"
+    s s s (ms interp_s) (ms imp_s)
+    (interp_s /. Float.max imp_s 1e-9);
   Alcotest.(check (option bool)) "imp elided the proved matmul" (Some true)
     (Tir.Exec.Cache.elision_of imp_cache "mm");
-  Alcotest.(check bool) "imp <= compiled" true (imp_s <= compiled_s)
+  Alcotest.(check bool) "imp <= interpreted" true (imp_s <= interp_s)
 
 let () =
   Alcotest.run "compile"
