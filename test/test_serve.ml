@@ -575,6 +575,211 @@ let test_fork_inherits_and_cows () =
   Alcotest.(check bool) "on/off streams identical" true
     (on.Serve.Scheduler.token_streams = off.Serve.Scheduler.token_streams)
 
+(* ---------- behaviour digest ----------
+
+   One MD5 per scenario over everything a run makes observable: the
+   full serve and fault-injection trace, the completion log, the shed,
+   aborted and drained sets and the final clock, with every time
+   printed exactly ([%h]). The expected digests pin the scheduler's
+   behaviour bit for bit, so a refactor of the queue handling must
+   leave every one of them unchanged. *)
+
+let digest_run ?exec ?stop_at o w =
+  let b = Buffer.create 4096 in
+  let sink = function
+    | Runtime.Trace.Serve { tag; id; t_us; batch; tokens } ->
+        Printf.bprintf b "%s %d %h %d %d\n"
+          (Runtime.Trace.serve_tag_name tag)
+          id t_us batch tokens
+    | Runtime.Trace.Fault_injected { Runtime.Fault.seq; site; kind } ->
+        Printf.bprintf b "fault %d %s %s\n" seq site
+          (Runtime.Fault.kind_name kind)
+    | _ -> ()
+  in
+  (* A fresh model per scenario: a memoized step cost can depend on
+     which shapes its VM ran before, so a shared model would make each
+     digest depend on the scenarios run ahead of it. *)
+  let m =
+    Serve.Scheduler.model ~cfg:tiny ~precision:Frontend.Llm.F16 ~device
+  in
+  let res = Serve.Scheduler.run ~trace:sink ?exec ?stop_at m o w in
+  List.iter
+    (fun (m : Serve.Metrics.request_metrics) ->
+      Printf.bprintf b "done %d %h %h %h %d %d %d %d %s\n" m.Serve.Metrics.id
+        m.Serve.Metrics.arrival_us m.Serve.Metrics.first_token_us
+        m.Serve.Metrics.finish_us m.Serve.Metrics.prompt_len
+        m.Serve.Metrics.tokens m.Serve.Metrics.preemptions
+        m.Serve.Metrics.retries
+        (match m.Serve.Metrics.deadline_us with
+        | Some d -> Printf.sprintf "%h" d
+        | None -> "-"))
+    res.Serve.Scheduler.completed;
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.bprintf b "shed %s\naborted %s\n" (ints res.Serve.Scheduler.shed)
+    (ints res.Serve.Scheduler.aborted);
+  List.iter
+    (fun (r : Serve.Workload.request) ->
+      Printf.bprintf b "drained %d %h\n" r.Serve.Workload.id
+        r.Serve.Workload.arrival_us)
+    res.Serve.Scheduler.drained;
+  List.iter
+    (fun (id, toks) -> Printf.bprintf b "stream %d %s\n" id (ints toks))
+    res.Serve.Scheduler.token_streams;
+  Printf.bprintf b "clock %h\n" res.Serve.Scheduler.clock_us;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A shared-prefix burst with per-request deadlines: queues build up,
+   the 6-block budget preempts, and the tightest deadlines are
+   unreachable, so both admission policies have work to do. *)
+let digest_workload () =
+  Serve.Workload.bursty ~seed:13 ~base_rate_per_s:20_000.0
+    ~burst_rate_per_s:200_000.0 ~period_s:0.001 ~duty:0.4 ~num_requests:14
+    ~vocab:32 ~shared_prefix_len:4
+    ~max_total:tiny.Frontend.Configs.max_context
+    ~deadline_slack:(Serve.Workload.Uniform (150, 900))
+    ~prompt:(Serve.Workload.Uniform (4, 10))
+    ~output:(Serve.Workload.Uniform (1, 5))
+    ()
+
+(* Enough transient faults that requests back off behind each other
+   and some spend their whole retry budget. *)
+let heavy =
+  {
+    Runtime.Fault.seed = 41;
+    kernel_fail_p = 0.3;
+    stall_p = 0.2;
+    stall_factor = 3.0;
+    oom_p = 0.1;
+    nan_p = 0.15;
+  }
+
+let digest_scenarios () =
+  let w = digest_workload () in
+  let grid =
+    List.concat_map
+      (fun (pn, policy) ->
+        List.concat_map
+          (fun (an, admission) ->
+            List.concat_map
+              (fun (fname, faults) ->
+                List.map
+                  (fun kv_share ->
+                    ( Printf.sprintf "%s/%s/%s/share-%b" pn an fname kv_share,
+                      fun () ->
+                        digest_run
+                          {
+                            (opts ~max_batch:3 ~policy ~budget_blocks:6
+                               ~kv_share ?faults ())
+                            with
+                            Serve.Scheduler.admission;
+                          }
+                          w ))
+                  [ false; true ])
+              [ ("clean", None); ("faults5", Some (chaos_cfg 29)) ])
+          [ ("fcfs", Serve.Scheduler.Fcfs); ("deadline", Serve.Scheduler.Deadline_aware) ])
+      [ ("continuous", Serve.Scheduler.Continuous); ("static", Serve.Scheduler.Static) ]
+  in
+  grid
+  @ [
+      ( "best-of-n fork",
+        fun () ->
+          digest_run
+            (opts ~max_batch:3 ~budget_blocks:16 ~kv_share:true ())
+            (share_workload { sseed = 4; skind = 1; stight = false; schaos = false }) );
+      ( "kv-infeasible aborts/fcfs",
+        fun () -> digest_run (opts ~max_batch:3 ~budget_blocks:3 ()) w );
+      ( "kv-infeasible aborts/deadline",
+        fun () ->
+          digest_run
+            {
+              (opts ~max_batch:3 ~budget_blocks:3 ()) with
+              Serve.Scheduler.admission = Serve.Scheduler.Deadline_aware;
+            }
+            w );
+      ( "heavy faults/continuous",
+        fun () -> digest_run (opts ~max_batch:3 ~budget_blocks:8 ~faults:heavy ()) w
+      );
+      ( "heavy faults/static",
+        fun () ->
+          digest_run
+            (opts ~max_batch:3 ~budget_blocks:8 ~policy:Serve.Scheduler.Static
+               ~faults:heavy ())
+            w );
+      ( "tight budget preempts",
+        fun () ->
+          digest_run (opts ~max_batch:4 ~budget_blocks:4 ()) (workload ~n:10 ()) );
+      ( "slowdown window",
+        fun () ->
+          digest_run
+            {
+              (opts ~max_batch:3 ~budget_blocks:8 ()) with
+              Serve.Scheduler.slowdowns = [ (100.0, 500.0, 4.0) ];
+            }
+            w );
+      ( "outage window",
+        fun () ->
+          digest_run
+            {
+              (opts ~max_batch:3 ~budget_blocks:8 ()) with
+              Serve.Scheduler.outages = [ (150.0, 400.0) ];
+            }
+            w );
+      ( "stop_at drain",
+        fun () ->
+          digest_run ~stop_at:300.0 (opts ~max_batch:3 ~budget_blocks:8 ()) w
+      );
+      ( "numeric",
+        fun () ->
+          digest_run ~exec:(`Numeric 5)
+            (opts ~max_batch:3 ~budget_blocks:6 ~kv_share:true ())
+            w );
+    ]
+
+(* Recorded on the scheduler before its queue handling was reworked. *)
+let expected_digests =
+  [
+    ("continuous/fcfs/clean/share-false", "b3d6f8c4752ac3e13a3aa195577a05e3");
+    ("continuous/fcfs/clean/share-true", "df9a4fad0bc770d7e0e0ed988c38388d");
+    ("continuous/fcfs/faults5/share-false", "0fec6a877942c588697fe3d4d4b23d0e");
+    ("continuous/fcfs/faults5/share-true", "715334a458c65ab5d8c5e387bd4aa65d");
+    ("continuous/deadline/clean/share-false", "1551eacad9d32044b4e5336b9757c153");
+    ("continuous/deadline/clean/share-true", "2e6cd3c2e25a76d8def2798e951c4376");
+    ("continuous/deadline/faults5/share-false", "2777f3781b77e6699252c15950cbd154");
+    ("continuous/deadline/faults5/share-true", "08fc9c86ddefddb49c53aa33272bc470");
+    ("static/fcfs/clean/share-false", "b0c5d7877b7be8a010b5bdee487f2218");
+    ("static/fcfs/clean/share-true", "6e42173373da5442052342205c6aa4d5");
+    ("static/fcfs/faults5/share-false", "813913f6ac0d0b1589de2d4c0ec81d72");
+    ("static/fcfs/faults5/share-true", "c55dd25115f04c9fbce8d7494b2260d3");
+    ("static/deadline/clean/share-false", "b0e7c8a23f4a6771d450889fada2256e");
+    ("static/deadline/clean/share-true", "e5d97412d867a4b7b70633f28a6a0ae2");
+    ("static/deadline/faults5/share-false", "d56b7965b9e9c666052768653fa5eee5");
+    ("static/deadline/faults5/share-true", "d544625f4b508a9fd6c8abeac9d66118");
+    ("best-of-n fork", "e166d5dd7f04792361ef06cc44e88e14");
+    ("kv-infeasible aborts/fcfs", "3b8a710df5341a91c5a6c980eaa79d43");
+    ("kv-infeasible aborts/deadline", "14e0ffa10df69f1761b31429da790460");
+    ("heavy faults/continuous", "c0a72ccff683df1668f590460dde10ce");
+    ("heavy faults/static", "419ac29120529047a51293818241d227");
+    ("tight budget preempts", "adf600c27d3ff977e58da2a9faa06855");
+    ("slowdown window", "b26004ac3730c847052edd6da0175da0");
+    ("outage window", "0493cc11ada545bb25ef0f7a1b9dd2cc");
+    ("stop_at drain", "49b6976dd9c69fa53f0e08240f025f98");
+    ("numeric", "5b3659720cee8662d41b0cbe399aef21");
+  ]
+
+let test_digests () =
+  let actual =
+    List.map
+      (fun (name, go) ->
+        (name, try go () with e -> "raised " ^ Printexc.to_string e))
+      (digest_scenarios ())
+  in
+  if actual <> expected_digests then begin
+    print_endline "--- actual behaviour digests ---";
+    List.iter (fun (n, d) -> Printf.printf "    (%S, %S);\n" n d) actual
+  end;
+  Alcotest.(check (list (pair string string)))
+    "scenario digests" expected_digests actual
+
 let () =
   Alcotest.run "serve"
     [
@@ -585,6 +790,7 @@ let () =
             test_deterministic_rerun;
           Alcotest.test_case "workload reproducible" `Quick
             test_workload_reproducible;
+          Alcotest.test_case "behaviour digests" `Quick test_digests;
         ] );
       ( "invariants",
         List.map QCheck_alcotest.to_alcotest
