@@ -374,12 +374,24 @@ let run model_name device_name batch ctx quant backend_name dump_ir no_fusion
     usage_error "--backend cannot be combined with --serve";
   if json && not (lint || verify_passes) then
     usage_error "--json requires --lint or --verify-passes";
+  (* nan fails no range check below (every comparison with it is
+     false), and a nan or infinite arrival rate never advances the
+     serving clock: every float flag must be finite. *)
+  List.iter
+    (fun (flag, v) ->
+      match v with
+      | Some x when not (Float.is_finite x) ->
+          usage_error "--%s must be a finite number (got %g)" flag x
+      | _ -> ())
+    [ ("fp-budget", fp_budget); ("rate", rate); ("deadline-ms", deadline_ms);
+      ("faults", faults); ("replica-faults", replica_faults);
+      ("heartbeat-ms", heartbeat_ms) ];
   (match fp_budget with
   | None -> ()
   | Some b ->
       if not (lint || verify_passes) then
         usage_error "--fp-budget requires --lint or --verify-passes";
-      if (not (Float.is_finite b)) || b <= 0.0 then
+      if b <= 0.0 then
         usage_error "--fp-budget must be a positive ulp count (got %g)" b);
   (* --tp: tensor-parallel step timing, its own path. *)
   (match tp with

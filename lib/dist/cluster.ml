@@ -93,7 +93,9 @@ let take n l = List.filteri (fun i _ -> i < n) l
    power-of-two sampler. When every replica is Healthy at every
    decision point (in particular whenever the fault plan is empty),
    every policy reduces bit-for-bit to its pre-failover behavior — the
-   existing routing goldens pin that. *)
+   existing routing goldens pin that. The health-blind baseline is
+   exactly that case: it routes through the same code over a view in
+   which every replica is always Healthy. *)
 
 type router = {
   busy_until : float array;
@@ -110,6 +112,12 @@ let make_router opts =
     assigned = Hashtbl.create 64;
   }
 
+(* The replica states routing decides on: the probed health timeline,
+   or all-Healthy for the health-blind baseline. *)
+let routing_view opts tl =
+  if opts.health_aware then fun k t -> Health.state_at tl ~replica:k ~t_us:t
+  else fun _ _ -> Health.Healthy
+
 (* Health penalty for routing order: prefer Healthy, then
    Degraded/Recovering, never Down unless nothing else is up. *)
 let penalty = function
@@ -117,15 +125,10 @@ let penalty = function
   | Health.Degraded | Health.Recovering -> 1
   | Health.Down -> 2
 
-let route_pick ~opts ~rt ~state ~aware (r : Workload.request) ~t =
+let route_pick ~opts ~rt ~state (r : Workload.request) ~t =
   let m = opts.replicas in
   let backlog k = Float.max 0.0 (rt.busy_until.(k) -. t) in
-  let round_robin_legacy () =
-    let k = rt.rr mod m in
-    rt.rr <- rt.rr + 1;
-    k
-  in
-  let round_robin_aware () =
+  let round_robin () =
     let start = rt.rr in
     rt.rr <- rt.rr + 1;
     let first_with p =
@@ -142,14 +145,7 @@ let route_pick ~opts ~rt ~state ~aware (r : Workload.request) ~t =
     | None -> (
         match first_with 1 with Some k -> k | None -> start mod m)
   in
-  let least_loaded_legacy () =
-    let best = ref 0 in
-    for k = 1 to m - 1 do
-      if backlog k < backlog !best then best := k
-    done;
-    !best
-  in
-  let least_loaded_aware () =
+  let least_loaded () =
     let best = ref 0 in
     let key k = (penalty (state k t), backlog k) in
     for k = 1 to m - 1 do
@@ -158,44 +154,35 @@ let route_pick ~opts ~rt ~state ~aware (r : Workload.request) ~t =
     !best
   in
   match opts.route with
-  | Round_robin -> if aware then round_robin_aware () else round_robin_legacy ()
-  | Least_loaded -> if aware then least_loaded_aware () else least_loaded_legacy ()
-  | Power_of_two ->
-      if not aware then
-        if m = 1 then 0
-        else begin
-          let a = Random.State.int rt.rng m in
-          let b = (a + 1 + Random.State.int rt.rng (m - 1)) mod m in
-          if backlog a <= backlog b then a else b
-        end
-      else begin
-        let avail =
-          List.filter (fun k -> state k t <> Health.Down) (List.init m Fun.id)
-        in
-        match avail with
-        | [] -> least_loaded_aware ()
-        | [ k ] -> k
-        | _ ->
-            let n = List.length avail in
-            let a = List.nth avail (Random.State.int rt.rng n) in
-            let b =
-              List.nth avail
-                ((List.length (List.filter (fun k -> k < a) avail)
-                 + 1
-                 + Random.State.int rt.rng (n - 1))
-                mod n)
-            in
-            let pa = penalty (state a t) and pb = penalty (state b t) in
-            if pa < pb then a
-            else if pb < pa then b
-            else if backlog a <= backlog b then a
-            else b
-      end
+  | Round_robin -> round_robin ()
+  | Least_loaded -> least_loaded ()
+  | Power_of_two -> (
+      let avail =
+        List.filter (fun k -> state k t <> Health.Down) (List.init m Fun.id)
+      in
+      match avail with
+      | [] -> least_loaded ()
+      | [ k ] -> k
+      | _ ->
+          let n = List.length avail in
+          let a = List.nth avail (Random.State.int rt.rng n) in
+          let b =
+            List.nth avail
+              ((List.length (List.filter (fun k -> k < a) avail)
+               + 1
+               + Random.State.int rt.rng (n - 1))
+              mod n)
+          in
+          let pa = penalty (state a t) and pb = penalty (state b t) in
+          if pa < pb then a
+          else if pb < pa then b
+          else if backlog a <= backlog b then a
+          else b)
   | Prefix_affinity -> (
       match r.Workload.prompt_tokens with
       | Some toks when toks <> [] ->
           let h = fnv1a (take opts.affinity_window toks) mod m in
-          if (not aware) || state h t = Health.Healthy then h
+          if state h t = Health.Healthy then h
           else begin
             (* Deterministic fallback: the hash home unless it is not
                fully Healthy, then the next-healthiest replica —
@@ -213,7 +200,7 @@ let route_pick ~opts ~rt ~state ~aware (r : Workload.request) ~t =
             done;
             !best
           end
-      | _ -> if aware then round_robin_aware () else round_robin_legacy ())
+      | _ -> round_robin ())
 
 (* Legacy-exact backlog bump: max(busy, arrival) + estimate. *)
 let note_assign ~model ~opts ~rt k (r : Workload.request) =
@@ -224,16 +211,15 @@ let note_assign ~model ~opts ~rt k (r : Workload.request) =
   rt.busy_until.(k) <-
     Float.max rt.busy_until.(k) r.Workload.arrival_us +. est
 
-let pick_for ~opts ~rt ~state ~aware (r : Workload.request) ~t =
+let pick_for ~opts ~rt ~state (r : Workload.request) ~t =
   match r.Workload.fork_of with
   | Some p when Hashtbl.mem rt.assigned p ->
       (* Forks must land where their parent's KV lives — unless that
          replica is currently believed Down. *)
       let pk = Hashtbl.find rt.assigned p in
-      if aware && state pk t = Health.Down then
-        route_pick ~opts ~rt ~state ~aware r ~t
+      if state pk t = Health.Down then route_pick ~opts ~rt ~state r ~t
       else pk
-  | _ -> route_pick ~opts ~rt ~state ~aware r ~t
+  | _ -> route_pick ~opts ~rt ~state r ~t
 
 (* Probe horizon: past every arrival and fault window, plus slack for
    detection and half-open recovery to land. *)
@@ -262,13 +248,11 @@ let timeline_of opts w =
 
 let dispatch ~model opts (w : Workload.t) =
   if opts.replicas < 1 then invalid_arg "Dist.Cluster: replicas < 1";
-  let tl = timeline_of opts w in
-  let state k t = Health.state_at tl ~replica:k ~t_us:t in
-  let aware = opts.health_aware in
+  let state = routing_view opts (timeline_of opts w) in
   let rt = make_router opts in
   List.map
     (fun (r : Workload.request) ->
-      let pick = pick_for ~opts ~rt ~state ~aware r ~t:r.Workload.arrival_us in
+      let pick = pick_for ~opts ~rt ~state r ~t:r.Workload.arrival_us in
       Hashtbl.replace rt.assigned r.Workload.id pick;
       note_assign ~model ~opts ~rt pick r;
       (r.Workload.id, pick))
@@ -380,7 +364,7 @@ let run ?trace ?exec ~model opts (w : Workload.t) =
   let plan = opts.replica_faults in
   let aware = opts.health_aware in
   let tl = timeline_of opts w in
-  let state k t = Health.state_at tl ~replica:k ~t_us:t in
+  let state = routing_view opts tl in
   let emit tag ~id ~t ~batch ~tokens =
     match trace with
     | None -> ()
@@ -443,12 +427,12 @@ let run ?trace ?exec ~model opts (w : Workload.t) =
   in
   let route_original (r : Workload.request) =
     let t = r.Workload.arrival_us in
-    let pick = pick_for ~opts ~rt ~state ~aware r ~t in
+    let pick = pick_for ~opts ~rt ~state r ~t in
     Hashtbl.replace rt.assigned r.Workload.id pick;
     disp_acc := (r.Workload.id, pick) :: !disp_acc;
     assign pick r;
     if
-      opts.hedge && aware
+      opts.hedge
       && (match state pick t with
          | Health.Degraded | Health.Recovering -> true
          | Health.Healthy | Health.Down -> false)
@@ -490,7 +474,7 @@ let run ?trace ?exec ~model opts (w : Workload.t) =
         if n > opts.max_migrations then
           mig_aborted := d.Workload.id :: !mig_aborted
         else begin
-          let pick = route_pick ~opts ~rt ~state ~aware d ~t:td in
+          let pick = route_pick ~opts ~rt ~state d ~t:td in
           (* A migrant waits out the destination's own downtime if it
              was forced onto a not-yet-recovered replica. *)
           let arrival =

@@ -53,21 +53,10 @@ type model = {
   precision : Frontend.Llm.precision;
   device : Runtime.Device.t;
   decode_entries : (int, entry) Hashtbl.t;  (** batch bucket -> entry *)
-  mutable prefill_entry : entry option;
-  mutable numeric_decode : (Frontend.Llm.built * Runtime.Vm.program) option;
-  mutable numeric_prefill : (Frontend.Llm.built * Runtime.Vm.program) option;
+  prefill : entry Lazy.t;
+  numeric_decode : (Frontend.Llm.built * Runtime.Vm.program) Lazy.t;
+  numeric_prefill : (Frontend.Llm.built * Runtime.Vm.program) Lazy.t;
 }
-
-let model ~cfg ~precision ~device =
-  {
-    cfg;
-    precision;
-    device;
-    decode_entries = Hashtbl.create 8;
-    prefill_entry = None;
-    numeric_decode = None;
-    numeric_prefill = None;
-  }
 
 let compile built device =
   Relax_passes.Pipeline.compile
@@ -83,26 +72,37 @@ let warmup vm (built : Frontend.Llm.built) =
     (Runtime.Vm.run vm built.Frontend.Llm.entry
        (Frontend.Llm.args_for built ~ctx:1 ~mode:`Shadow ()))
 
+let timed_entry device built =
+  let vm = Runtime.Vm.create (`Timed device) (compile built device) in
+  warmup vm built;
+  { vm; built; costs = Hashtbl.create 32 }
+
+let model ~cfg ~precision ~device =
+  let compiled built = (built, compile built device) in
+  {
+    cfg;
+    precision;
+    device;
+    decode_entries = Hashtbl.create 8;
+    prefill =
+      lazy
+        (timed_entry device
+           (Frontend.Llm.prefill ~return_caches:false cfg precision));
+    numeric_decode =
+      lazy (compiled (Frontend.Llm.decode_paged cfg ~batch:1 precision));
+    numeric_prefill =
+      lazy (compiled (Frontend.Llm.prefill ~return_caches:true cfg precision));
+  }
+
 let decode_entry m bucket =
   match Hashtbl.find_opt m.decode_entries bucket with
   | Some e -> e
   | None ->
-      let built = Frontend.Llm.decode_paged m.cfg ~batch:bucket m.precision in
-      let vm = Runtime.Vm.create (`Timed m.device) (compile built m.device) in
-      warmup vm built;
-      let e = { vm; built; costs = Hashtbl.create 32 } in
+      let e =
+        timed_entry m.device
+          (Frontend.Llm.decode_paged m.cfg ~batch:bucket m.precision)
+      in
       Hashtbl.add m.decode_entries bucket e;
-      e
-
-let prefill_entry m =
-  match m.prefill_entry with
-  | Some e -> e
-  | None ->
-      let built = Frontend.Llm.prefill ~return_caches:false m.cfg m.precision in
-      let vm = Runtime.Vm.create (`Timed m.device) (compile built m.device) in
-      warmup vm built;
-      let e = { vm; built; costs = Hashtbl.create 32 } in
-      m.prefill_entry <- Some e;
       e
 
 let cost_of (e : entry) ctx =
@@ -124,27 +124,30 @@ let bucket_for ~max_batch live =
   let rec go b = if b >= live then b else go (2 * b) in
   min (go 1) max_batch
 
-let round_up n step = (n + step - 1) / step * step
+(* Costs are memoized per context rounded up to a whole block and
+   clamped to what the program accepts: [n] positions for prefill, one
+   fewer for decode, which writes one more. *)
+let ctx_key ~block_size ~cap n =
+  min (max 1 ((n + block_size - 1) / block_size * block_size)) cap
+
+let prefill_us m ~block_size n =
+  cost_of (Lazy.force m.prefill)
+    (ctx_key ~block_size ~cap:m.cfg.Frontend.Configs.max_context n)
+
+let decode_us m ~block_size ~bucket ctx =
+  cost_of (decode_entry m bucket)
+    (ctx_key ~block_size ~cap:(m.cfg.Frontend.Configs.max_context - 1) ctx)
 
 (* Uncontended service-time estimate for one request: its prefill plus
    every output token at the batch-1 decode cost, from the same
    memoized timed VMs [run] charges from. The cluster router uses this
    to keep per-replica backlog estimates without running anything. *)
 let estimate_request_us m ~block_size (req : Workload.request) =
-  let mmax = m.cfg.Frontend.Configs.max_context in
-  let pre_ctx =
-    min (max 1 (round_up req.Workload.prompt_len block_size)) mmax
+  let pre = prefill_us m ~block_size req.Workload.prompt_len in
+  let step =
+    decode_us m ~block_size ~bucket:1
+      (req.Workload.prompt_len + req.Workload.output_len - 1)
   in
-  let pre = cost_of (prefill_entry m) pre_ctx in
-  let dec_ctx =
-    min
-      (max 1
-         (round_up
-            (req.Workload.prompt_len + req.Workload.output_len - 1)
-            block_size))
-      (mmax - 1)
-  in
-  let step = cost_of (decode_entry m 1) dec_ctx in
   pre +. (float_of_int (max 0 (req.Workload.output_len - 1)) *. step)
 
 (* ---------- per-request runtime state ---------- *)
@@ -158,7 +161,8 @@ type rstate = {
   mutable attempts : int;  (** retries consumed (transient/corrupt faults) *)
   mutable retry_at : float;  (** backoff: not eligible for admission before *)
   (* numeric-mode state *)
-  mutable history : int list;  (** prompt tokens then generated tokens *)
+  mutable rev_history : int list;
+      (** prompt tokens then generated tokens, newest first *)
   mutable ncaches : Runtime.Vm.value list;  (** persistent paged caches *)
   mutable last_logits : Base.Ndarray.t option;
 }
@@ -175,24 +179,8 @@ type numeric = {
 }
 
 let numeric_ctx m seed =
-  let dec_built, dec_prog =
-    match m.numeric_decode with
-    | Some p -> p
-    | None ->
-        let built = Frontend.Llm.decode_paged m.cfg ~batch:1 m.precision in
-        let p = (built, compile built m.device) in
-        m.numeric_decode <- Some p;
-        p
-  in
-  let pre_built, pre_prog =
-    match m.numeric_prefill with
-    | Some p -> p
-    | None ->
-        let built = Frontend.Llm.prefill ~return_caches:true m.cfg m.precision in
-        let p = (built, compile built m.device) in
-        m.numeric_prefill <- Some p;
-        p
-  in
+  let dec_built, dec_prog = Lazy.force m.numeric_decode in
+  let pre_built, pre_prog = Lazy.force m.numeric_prefill in
   (* decode_paged params are ids, cur_len, caches..., embedding,
      weights...; the tail from the embedding onward is exactly
      prefill's tail, so both programs share one weight set. *)
@@ -278,7 +266,7 @@ let numeric_prefill_run nx (cfg : Frontend.Configs.t) (r : rstate) tokens =
         "Serve: prefill did not return (logits, caches...)"
 
 let numeric_decode_run nx (r : rstate) =
-  let last = List.nth r.history (List.length r.history - 1) in
+  let last = List.hd r.rev_history in
   let ids =
     Runtime.Vm.tensor (Base.Ndarray.of_int_list Base.Dtype.I32 [| 1 |] [ last ])
   in
@@ -289,6 +277,52 @@ let numeric_decode_run nx (r : rstate) =
   match out with
   | Runtime.Vm.Tuple_val (l :: _) -> Runtime.Vm.value_tensor l
   | v -> Runtime.Vm.value_tensor v
+
+(* ---------- the wait queue ---------- *)
+
+(* Requests waiting for (re-)admission in FCFS order: [front], then
+   [back] newest first, so arrivals append and preemption victims
+   push onto the head in O(1). [back] joins [front] only when a scan
+   runs past [front]'s end. *)
+type queue = {
+  mutable front : rstate list;
+  mutable back : rstate list;
+  mutable len : int;
+}
+
+let push_back q r =
+  q.back <- r :: q.back;
+  q.len <- q.len + 1
+
+let push_front q rs =
+  q.front <- rs @ q.front;
+  q.len <- q.len + List.length rs
+
+let to_list q =
+  if q.back <> [] then begin
+    q.front <- q.front @ List.rev q.back;
+    q.back <- []
+  end;
+  q.front
+
+let filter q keep =
+  q.front <- List.filter keep (to_list q);
+  q.len <- List.length q.front
+
+(* First request satisfying [ok], left in place (so in [front]). *)
+let find_first q ok =
+  match List.find_opt ok q.front with
+  | None when q.back <> [] -> List.find_opt ok (to_list q)
+  | found -> found
+
+(* Remove [r], found by [find_first]: O(its position). *)
+let remove q r =
+  let rec go = function
+    | [] -> []
+    | x :: rest -> if x == r then rest else x :: go rest
+  in
+  q.front <- go q.front;
+  q.len <- q.len - 1
 
 (* ---------- the serving loop ---------- *)
 
@@ -327,6 +361,10 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
   let mmax = cfg.Frontend.Configs.max_context in
   List.iter
     (fun (r : Workload.request) ->
+      if not (Float.is_finite r.Workload.arrival_us) then
+        Runtime.Fault.errorf Runtime.Fault.Fatal
+          "Serve: request %d arrives at a non-finite time (%g us)"
+          r.Workload.id r.Workload.arrival_us;
       if r.Workload.prompt_len + r.Workload.output_len > mmax then
         Runtime.Fault.errorf Runtime.Fault.Fatal
           "Serve: request %d needs %d tokens > max_context %d" r.Workload.id
@@ -339,11 +377,6 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
     Block_manager.create ?kv_budget_bytes:opts.kv_budget_bytes
       ~sharing:opts.kv_share ~cfg ~precision:m.precision
       ~block_size:opts.block_size ~device:m.device alloc
-  in
-  let emit tag ~id ~t_us ~batch ~tokens =
-    match trace with
-    | None -> ()
-    | Some sink -> sink (Runtime.Trace.Serve { tag; id; t_us; batch; tokens })
   in
   let clock = ref 0.0 in
   (* KV-bytes-per-token integrals: referenced physical blocks (used
@@ -369,8 +402,21 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
     end
   in
   let arrivals = ref workload in
-  let waiting = ref [] in
+  (* Delivered requests not yet checked for KV admissibility, newest
+     first; the next admission pass checks each exactly once. *)
+  let fresh = ref [] in
+  let waiting = { front = []; back = []; len = 0 } in
+  let waiting_empty () = waiting.len = 0 && !fresh = [] in
   let running = ref [] in
+  (* A trace event stamped, unless told otherwise, with the engine
+     clock and the live batch size. *)
+  let emit ?(t_us = !clock) ?batch tag ~id ~tokens =
+    match trace with
+    | None -> ()
+    | Some sink ->
+        let batch = Option.value batch ~default:(List.length !running) in
+        sink (Runtime.Trace.Serve { tag; id; t_us; batch; tokens })
+  in
   let completed = ref [] in
   let logits_out = ref [] in
   let streams_out = ref [] in
@@ -389,11 +435,13 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
     | Some sink -> sink (Runtime.Trace.Fault_injected ev)
     | None -> ()
   in
-  let draw_kernel_fail site =
+  (* One Bernoulli draw of [kind] ([Runtime.Fault.kernel_failure],
+     [alloc_oom] or [nan_corruption]) at [site]; true if it fired. *)
+  let draw kind site =
     match inj with
     | None -> false
     | Some i -> (
-        match Runtime.Fault.kernel_failure i ~site with
+        match kind i ~site with
         | Some ev ->
             fault_ev ev;
             true
@@ -409,65 +457,22 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
             factor
         | None -> 1.0)
   in
-  let draw_oom site =
-    match inj with
-    | None -> false
-    | Some i -> (
-        match Runtime.Fault.alloc_oom i ~site with
-        | Some ev ->
-            fault_ev ev;
-            true
-        | None -> false)
-  in
-  let draw_nan site =
-    match inj with
-    | None -> false
-    | Some i -> (
-        match Runtime.Fault.nan_corruption i ~site with
-        | Some ev ->
-            fault_ev ev;
-            true
-        | None -> false)
-  in
-  (* Copy-on-write and eviction happen inside the block manager; the
-     trace stream recovers them by diffing its monotone counters
-     around each call. *)
-  let diff_block_events ~id before =
-    let after = Block_manager.stats bm in
-    if after.Block_manager.cow_copies > before.Block_manager.cow_copies then
-      emit `Cow_copy ~id ~t_us:!clock ~batch:(List.length !running)
-        ~tokens:(after.Block_manager.cow_copies - before.Block_manager.cow_copies);
-    if after.Block_manager.evictions > before.Block_manager.evictions then
-      emit `Evict ~id:(-1) ~t_us:!clock ~batch:(List.length !running)
-        ~tokens:(after.Block_manager.evictions - before.Block_manager.evictions)
-  in
-  (* Injected OOM makes a grow fail exactly as block exhaustion does:
-     the caller's admission-control / preemption path handles it. *)
-  let try_grow ~site ~request_id ~tokens =
-    if draw_oom site then false
+  (* A block-manager call for request [id] behind an OOM draw: an
+     injected OOM returns [oom], which callers handle exactly as block
+     exhaustion (admission control / preemption). Copy-on-write and
+     eviction happen inside the block manager; the trace stream
+     recovers them by diffing its monotone counters around the call. *)
+  let block_op ~site ~id ~oom f =
+    if draw Runtime.Fault.alloc_oom site then oom
     else begin
       let before = Block_manager.stats bm in
-      let ok = Block_manager.grow bm ~request_id ~tokens in
-      diff_block_events ~id:request_id before;
-      ok
-    end
-  in
-  (* Token ids the prefix tree matches on: only requests that carry
-     explicit prompt tokens can share. *)
-  let prompt_arr (req : Workload.request) =
-    match req.Workload.prompt_tokens with
-    | Some toks -> Array.of_list toks
-    | None -> [||]
-  in
-  let try_acquire ~site (r : rstate) ~tokens =
-    if draw_oom site then `No_space
-    else begin
-      let before = Block_manager.stats bm in
-      let res =
-        Block_manager.acquire bm ~request_id:r.req.Workload.id
-          ~prompt:(prompt_arr r.req) ~tokens
-      in
-      diff_block_events ~id:r.req.Workload.id before;
+      let res = f () in
+      let after = Block_manager.stats bm in
+      let delta count = count after - count before in
+      let cows = delta (fun s -> s.Block_manager.cow_copies)
+      and evicted = delta (fun s -> s.Block_manager.evictions) in
+      if cows > 0 then emit `Cow_copy ~id ~tokens:cows;
+      if evicted > 0 then emit `Evict ~id:(-1) ~tokens:evicted;
       res
     end
   in
@@ -483,7 +488,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
       if !stall_streak >= degrade_after && !eff_batch > 1 then begin
         eff_batch := max 1 (!eff_batch / 2);
         stall_streak := 0;
-        emit `Degrade ~id:(-1) ~t_us:!clock ~batch:!eff_batch ~tokens:0
+        emit `Degrade ~id:(-1) ~batch:!eff_batch ~tokens:0
       end
     end
     else begin
@@ -492,15 +497,16 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
       if !clean_streak >= recover_after && !eff_batch < opts.max_batch then begin
         eff_batch := min opts.max_batch (!eff_batch * 2);
         clean_streak := 0;
-        emit `Degrade ~id:(-1) ~t_us:!clock ~batch:!eff_batch ~tokens:1
+        emit `Degrade ~id:(-1) ~batch:!eff_batch ~tokens:1
       end
     end
   in
   let decode_cost ~live ~ctx =
-    let bucket = bucket_for ~max_batch:opts.max_batch live in
-    let ctx' = min (max 1 (round_up ctx opts.block_size)) (mmax - 1) in
-    cost_of (decode_entry m bucket) ctx'
+    decode_us m ~block_size:opts.block_size
+      ~bucket:(bucket_for ~max_batch:opts.max_batch live)
+      ctx
   in
+  let prefill_cost n = prefill_us m ~block_size:opts.block_size n in
   (* Replica-level straggler windows (cluster fault plan): every step
      started inside a window is slowed by its factor. Empty list ->
      multiplier 1.0, and [dt *. 1.0] is exact, so runs without windows
@@ -526,33 +532,27 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
   let cap_stop t =
     match stop_at with Some s -> Float.min t s | None -> t
   in
-  let prefill_cost n =
-    let ctx' = min (max 1 (round_up n opts.block_size)) mmax in
-    cost_of (prefill_entry m) ctx'
-  in
   let deliver () =
     let rec go () =
       match !arrivals with
       | (r : Workload.request) :: rest when r.Workload.arrival_us <= !clock ->
           arrivals := rest;
-          waiting :=
-            !waiting
-            @ [
-                {
-                  req = r;
-                  cache_len = 0;
-                  generated = 0;
-                  first_token_us = 0.0;
-                  preempt_count = 0;
-                  attempts = 0;
-                  retry_at = 0.0;
-                  history = [];
-                  ncaches = [];
-                  last_logits = None;
-                };
-              ];
+          fresh :=
+            {
+              req = r;
+              cache_len = 0;
+              generated = 0;
+              first_token_us = 0.0;
+              preempt_count = 0;
+              attempts = 0;
+              retry_at = 0.0;
+              rev_history = [];
+              ncaches = [];
+              last_logits = None;
+            }
+            :: !fresh;
           emit `Request_arrive ~id:r.Workload.id ~t_us:r.Workload.arrival_us
-            ~batch:(List.length !running) ~tokens:r.Workload.prompt_len;
+            ~tokens:r.Workload.prompt_len;
           go ()
       | _ -> ()
     in
@@ -560,13 +560,13 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
   in
   let finish (r : rstate) =
     Block_manager.release bm ~request_id:r.req.Workload.id;
-    emit `Finish ~id:r.req.Workload.id ~t_us:!clock
-      ~batch:(List.length !running) ~tokens:r.generated;
+    emit `Finish ~id:r.req.Workload.id ~tokens:r.generated;
     (match r.last_logits with
     | Some l -> logits_out := (r.req.Workload.id, l) :: !logits_out
     | None -> ());
-    if r.history <> [] then
-      streams_out := (r.req.Workload.id, r.history) :: !streams_out;
+    if r.rev_history <> [] then
+      streams_out :=
+        (r.req.Workload.id, List.rev r.rev_history) :: !streams_out;
     completed :=
       {
         Metrics.id = r.req.Workload.id;
@@ -581,19 +581,23 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
       }
       :: !completed
   in
+  (* A request that holds its first token joins the batch, or is done
+     already when that was its only one. *)
+  let start (r : rstate) =
+    if r.generated >= r.req.Workload.output_len then finish r
+    else running := !running @ [ r ]
+  in
   let abort (r : rstate) =
     Block_manager.release bm ~request_id:r.req.Workload.id;
     aborted_ids := r.req.Workload.id :: !aborted_ids;
-    emit `Abort ~id:r.req.Workload.id ~t_us:!clock
-      ~batch:(List.length !running) ~tokens:r.generated
+    emit `Abort ~id:r.req.Workload.id ~tokens:r.generated
   in
   let shed_req (r : rstate) ~timeout =
     shed_ids := r.req.Workload.id :: !shed_ids;
     if timeout then incr timeouts;
     emit
       (if timeout then `Timeout else `Shed)
-      ~id:r.req.Workload.id ~t_us:!clock ~batch:(List.length !running)
-      ~tokens:r.req.Workload.prompt_len
+      ~id:r.req.Workload.id ~tokens:r.req.Workload.prompt_len
   in
   (* Expected slowdown of the degraded machine, from the armed fault
      config: stalls inflate the average step by stall_p * (factor - 1)
@@ -631,37 +635,43 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
        *. fault_slowdown *. feasibility_headroom)
     <= d
   in
-  (* Admission-queue policy pass: drop requests that can never be
-     scheduled (KV-infeasible — typed abort instead of the engine
-     wedging later), and under [Deadline_aware] shed requests whose
-     deadline has passed or is unreachable. Returns #removed. *)
-  let prune_waiting () =
+  (* The admission-queue pass. Each delivered request is checked for
+     KV admissibility exactly once, here: one that could never fit the
+     whole budget aborts (typed) instead of wedging the engine later.
+     Feasibility cannot change after arrival, so under [Fcfs] the pass
+     visits only the requests delivered since the previous pass; under
+     [Deadline_aware] it also sheds every waiting request whose
+     deadline has passed or is unreachable. Visits run in queue order
+     (fresh requests are its tail). Returns #removed. *)
+  let admission_pass () =
     let pruned = ref 0 in
-    waiting :=
-      List.filter
-        (fun (r : rstate) ->
-          let need =
-            max r.req.Workload.prompt_len
-              (r.req.Workload.prompt_len + r.req.Workload.output_len - 1)
-          in
-          if Block_manager.blocks_for bm need > Block_manager.total_blocks bm
-          then begin
-            abort r;
-            incr pruned;
-            false
-          end
-          else
-            match (opts.admission, r.req.Workload.deadline_us) with
-            | Deadline_aware, Some d when d <= !clock ->
-                shed_req r ~timeout:true;
-                incr pruned;
-                false
-            | Deadline_aware, Some d when not (feasible r d) ->
-                shed_req r ~timeout:false;
-                incr pruned;
-                false
-            | _ -> true)
-        !waiting;
+    let keep (r : rstate) =
+      match (opts.admission, r.req.Workload.deadline_us) with
+      | Deadline_aware, Some d when d <= !clock ->
+          shed_req r ~timeout:true;
+          incr pruned;
+          false
+      | Deadline_aware, Some d when not (feasible r d) ->
+          shed_req r ~timeout:false;
+          incr pruned;
+          false
+      | _ -> true
+    in
+    if opts.admission = Deadline_aware then filter waiting keep;
+    List.iter
+      (fun (r : rstate) ->
+        let need =
+          max r.req.Workload.prompt_len
+            (r.req.Workload.prompt_len + r.req.Workload.output_len - 1)
+        in
+        if Block_manager.blocks_for bm need > Block_manager.total_blocks bm
+        then begin
+          abort r;
+          incr pruned
+        end
+        else if keep r then push_back waiting r)
+      (List.rev !fresh);
+    fresh := [];
     !pruned
   in
   (* Deadline enforcement on the running batch: a request whose
@@ -702,18 +712,6 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
           !running;
         !reaped
   in
-  (* First waiting request whose backoff has expired, split out of the
-     queue. With no faults every request is always eligible, so this
-     is exactly the FCFS head. *)
-  let split_eligible () =
-    let rec go prefix = function
-      | [] -> None
-      | (r : rstate) :: rest when r.retry_at <= !clock ->
-          Some (List.rev prefix, r, rest)
-      | r :: rest -> go (r :: prefix) rest
-    in
-    go [] !waiting
-  in
   (* Best-of-n forking: a child whose parent is still decoding shares
      (sharing on, O(1) memory) or duplicates (sharing off) the
      parent's whole KV and inherits its decode state — no prefill
@@ -730,170 +728,167 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
         with
         | Some p
           when p.cache_len > 0 && Block_manager.holds bm ~request_id:pid > 0 ->
-            if draw_oom "kv-admit" then `Oom
+            if draw Runtime.Fault.alloc_oom "kv-admit" then `Oom
             else if Block_manager.fork bm ~parent:pid ~child:r.req.Workload.id
             then `Forked p
             else `Fresh (* sharing off and the copy doesn't fit *)
         | _ -> `Fresh)
     | _ -> `Fresh
   in
-  (* Admit one eligible request: charge its (re-)prefill, produce the
-     first token if fresh. [`Blocked]: no eligible request or its
-     blocks don't fit (admission control; no preemption here).
-     [`Failed_attempt]: an injected transient fault wasted the prefill
-     — the request backed off (or aborted), but time advanced. *)
-  let admit_one () =
-    match split_eligible () with
-    | None -> `Blocked
-    | Some (prefix, r, rest) -> (
-        match try_fork r with
-        | `Oom -> `Blocked
-        | `Forked p ->
-            waiting := prefix @ rest;
-            r.cache_len <- p.cache_len;
-            r.generated <- 1;
-            r.first_token_us <- !clock;
-            r.history <- p.history;
-            r.last_logits <- p.last_logits;
-            (match nx with
-            | None -> ()
-            | Some _ ->
-                (* Private numeric caches: sharing is block accounting,
-                   the tiny-model tensors stay per-request. *)
-                r.ncaches <-
-                  List.map
-                    (fun v ->
-                      Runtime.Vm.tensor
-                        (Base.Ndarray.copy (Runtime.Vm.value_tensor v)))
-                    p.ncaches);
-            if opts.kv_share then
-              emit `Prefix_hit ~id:r.req.Workload.id ~t_us:!clock
-                ~batch:(List.length !running) ~tokens:r.cache_len;
-            if r.generated >= r.req.Workload.output_len then finish r
-            else running := !running @ [ r ];
-            `Admitted
-        | `Fresh ->
+  (* Try to admit [r], the first waiting request whose backoff has
+     expired: charge its (re-)prefill, produce the first token if
+     fresh. [`Blocked]: its blocks don't fit (admission control; no
+     preemption here). [`Backoff] / [`Aborted]: an injected transient
+     fault wasted the prefill — time advanced and the request backs
+     off in place, or aborts once its attempt budget is spent. *)
+  let admit_one (r : rstate) =
+    let id = r.req.Workload.id in
+    match try_fork r with
+    | `Oom -> `Blocked
+    | `Forked p ->
+        r.cache_len <- p.cache_len;
+        r.generated <- 1;
+        r.first_token_us <- !clock;
+        r.rev_history <- p.rev_history;
+        r.last_logits <- p.last_logits;
+        (match nx with
+        | None -> ()
+        | Some _ ->
+            (* Private numeric caches: sharing is block accounting,
+               the tiny-model tensors stay per-request. *)
+            r.ncaches <-
+              List.map
+                (fun v ->
+                  Runtime.Vm.tensor
+                    (Base.Ndarray.copy (Runtime.Vm.value_tensor v)))
+                p.ncaches);
+        if opts.kv_share then
+          emit `Prefix_hit ~id ~tokens:r.cache_len;
+        start r;
+        `Admitted
+    | `Fresh -> (
         let target =
           if r.cache_len = 0 then r.req.Workload.prompt_len else r.cache_len
         in
-        match try_acquire ~site:"kv-admit" r ~tokens:target with
+        (* Only requests that carry explicit prompt tokens can share. *)
+        let prompt =
+          Array.of_list (Option.value r.req.Workload.prompt_tokens ~default:[])
+        in
+        match
+          block_op ~site:"kv-admit" ~id ~oom:`No_space (fun () ->
+              Block_manager.acquire bm ~request_id:id ~prompt ~tokens:target)
+        with
         | `No_space -> `Blocked
         | `Ok matched ->
-          if matched > 0 then
-            emit `Prefix_hit ~id:r.req.Workload.id ~t_us:!clock
-              ~batch:(List.length !running) ~tokens:matched;
-          (* With the discount on, a prefix hit charges prefill only
-             for the unshared suffix — the cached positions' KV is
-             already resident. Off (default), the full cost is charged
-             and sharing stays block accounting only. *)
-          let charged_target =
-            if opts.prefix_prefill_discount && matched > 0 then
-              max 1 (target - matched)
-            else target
-          in
-          let dt =
-            prefill_cost charged_target *. stall_mult "prefill"
-            *. window_mult !clock
-          in
-          advance_to (!clock +. dt);
-          if draw_kernel_fail "prefill" then begin
-            (* Transient prefill failure: the time is wasted, the
-               blocks are released between attempts, and the request
-               re-queues with exponential backoff — or aborts once its
-               attempt budget is spent. *)
-            Block_manager.release bm ~request_id:r.req.Workload.id;
-            r.attempts <- r.attempts + 1;
-            emit `Retry ~id:r.req.Workload.id ~t_us:!clock
-              ~batch:(List.length !running) ~tokens:r.attempts;
-            if r.attempts >= opts.retry.max_attempts then begin
-              waiting := prefix @ rest;
-              abort r
+            if matched > 0 then
+              emit `Prefix_hit ~id ~tokens:matched;
+            (* With the discount on, a prefix hit charges prefill only
+               for the unshared suffix — the cached positions' KV is
+               already resident. Off (default), the full cost is charged
+               and sharing stays block accounting only. *)
+            let charged_target =
+              if opts.prefix_prefill_discount && matched > 0 then
+                max 1 (target - matched)
+              else target
+            in
+            let dt =
+              prefill_cost charged_target *. stall_mult "prefill"
+              *. window_mult !clock
+            in
+            advance_to (!clock +. dt);
+            if draw Runtime.Fault.kernel_failure "prefill" then begin
+              (* Transient prefill failure: the time is wasted, the
+                 blocks are released between attempts, and the request
+                 backs off exponentially — or aborts once its attempt
+                 budget is spent. *)
+              Block_manager.release bm ~request_id:id;
+              r.attempts <- r.attempts + 1;
+              emit `Retry ~id ~tokens:r.attempts;
+              if r.attempts >= opts.retry.max_attempts then begin
+                abort r;
+                `Aborted
+              end
+              else begin
+                r.retry_at <-
+                  !clock
+                  +. opts.retry.backoff_us
+                     *. (opts.retry.backoff_mult
+                        ** float_of_int (r.attempts - 1));
+                `Backoff
+              end
             end
             else begin
-              r.retry_at <-
-                !clock
-                +. opts.retry.backoff_us
-                   *. (opts.retry.backoff_mult
-                      ** float_of_int (r.attempts - 1));
-              waiting := prefix @ (r :: rest)
-            end;
-            `Failed_attempt
-          end
-          else begin
-            waiting := prefix @ rest;
-            emit `Prefill ~id:r.req.Workload.id ~t_us:!clock
-              ~batch:(List.length !running + 1) ~tokens:target;
-            if r.cache_len = 0 then begin
-              (* Fresh: prefill over the prompt yields the first token. *)
+              emit `Prefill ~id
+                ~batch:(List.length !running + 1)
+                ~tokens:target;
               (match nx with
               | None -> ()
-              | Some nx ->
+              | Some nx when r.cache_len = 0 ->
+                  (* Fresh: prefill over the prompt yields the first
+                     token. *)
                   let toks = prompt_tokens nx cfg.Frontend.Configs.vocab r.req in
                   let logits = numeric_prefill_run nx cfg r toks in
                   r.last_logits <- Some logits;
-                  r.history <- toks @ [ argmax_token logits ]);
-              r.cache_len <- target;
-              r.generated <- 1;
-              r.first_token_us <- !clock;
-              if r.generated >= r.req.Workload.output_len then finish r
-              else running := !running @ [ r ]
-            end
-            else begin
-              (* Preempted earlier: re-prefill the cached positions
-                 (recompute); the pending last token is consumed by the
-                 next decode step, so [generated] does not advance. *)
-              (match nx with
-              | None -> ()
+                  r.rev_history <- argmax_token logits :: List.rev toks
               | Some nx ->
+                  (* Preempted earlier: re-prefill the cached positions
+                     (recompute); the pending last token is consumed by
+                     the next decode step, so [generated] does not
+                     advance. *)
                   ignore
                     (numeric_prefill_run nx cfg r
-                       (List.filteri (fun i _ -> i < r.cache_len) r.history)));
-              running := !running @ [ r ]
-            end;
-            `Admitted
-          end)
+                       (List.filteri
+                          (fun i _ -> i < r.cache_len)
+                          (List.rev r.rev_history))));
+              if r.cache_len = 0 then begin
+                r.cache_len <- target;
+                r.generated <- 1;
+                r.first_token_us <- !clock
+              end;
+              start r;
+              `Admitted
+            end)
   in
-  (* Returns true if this round made progress: admitted a request,
-     consumed a (failed) attempt, or pruned the queue. Admitted
-     requests may finish instantly on single-token outputs, so
-     progress is not the same as a non-empty running batch. *)
+  (* One admission round: the queue pass, then admit FCFS from the
+     first eligible request until the policy's bound or a blocked
+     admission. [Continuous] fills the running batch up to the
+     effective width; [Static] forms a cohort only when the machine is
+     idle, and only at full width (or from the final stragglers once
+     the stream has ended) — the static baseline's inefficiency.
+     Returns true if the round made progress: admitted a request,
+     consumed a (failed) attempt, or pruned a queue. Admitted requests
+     may finish instantly on single-token outputs, so progress is not
+     the same as a non-empty running batch. *)
   let admit () =
     let reaped = reap_running () in
-    let pruned = prune_waiting () in
+    let pruned = admission_pass () in
     let admitted = ref 0 in
     let failed = ref false in
-    let has_eligible () =
-      List.exists (fun (r : rstate) -> r.retry_at <= !clock) !waiting
+    let open_, filled =
+      match opts.policy with
+      | Continuous -> (true, fun () -> List.length !running)
+      | Static ->
+          ( !running = []
+            && (waiting.len >= !eff_batch || !arrivals = [])
+            && waiting.len > 0,
+            fun () -> !admitted )
     in
-    (match opts.policy with
-    | Continuous ->
-        let continue_ = ref true in
-        while
-          !continue_ && List.length !running < !eff_batch && has_eligible ()
-        do
-          match admit_one () with
-          | `Admitted -> incr admitted
-          | `Failed_attempt -> failed := true
-          | `Blocked -> continue_ := false
-        done
-    | Static ->
-        (* Cohorts only form when the machine is idle, and only at
-           full width (or from the final stragglers once the stream
-           has ended) — the static baseline's inefficiency. *)
-        if
-          !running = []
-          && (List.length !waiting >= !eff_batch || !arrivals = [])
-          && !waiting <> []
-        then begin
-          let continue_ = ref true in
-          while !continue_ && !admitted < !eff_batch && has_eligible () do
-            match admit_one () with
-            | `Admitted -> incr admitted
-            | `Failed_attempt -> failed := true
-            | `Blocked -> continue_ := false
-          done;
-          cohort := List.length !running
-        end);
+    let rec fill () =
+      if filled () < !eff_batch then
+        match find_first waiting (fun r -> r.retry_at <= !clock) with
+        | None -> ()
+        | Some r -> (
+            match admit_one r with
+            | `Blocked -> ()
+            | outcome ->
+                if outcome <> `Backoff then remove waiting r;
+                if outcome = `Admitted then incr admitted else failed := true;
+                fill ())
+    in
+    if open_ then begin
+      fill ();
+      if opts.policy = Static then cohort := List.length !running
+    end;
     !admitted > 0 || !failed || pruned > 0 || reaped > 0
   in
   (* Grow [r]'s cache for the next decode write; on block exhaustion,
@@ -903,9 +898,10 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
      transient OOM and re-prefill later; without it, a lone request
      that cannot grow is a genuine budget overrun. *)
   let rec ensure_capacity (r : rstate) =
+    let id = r.req.Workload.id in
     if
-      try_grow ~site:"kv-grow" ~request_id:r.req.Workload.id
-        ~tokens:(r.cache_len + 1)
+      block_op ~site:"kv-grow" ~id ~oom:false (fun () ->
+          Block_manager.grow bm ~request_id:id ~tokens:(r.cache_len + 1))
     then true
     else
       match List.rev !running with
@@ -920,9 +916,8 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
           Block_manager.release bm ~request_id:victim.req.Workload.id;
           victim.preempt_count <- victim.preempt_count + 1;
           running := List.filter (fun x -> x != victim) !running;
-          waiting := victim :: !waiting;
-          emit `Preempt ~id:victim.req.Workload.id ~t_us:!clock
-            ~batch:(List.length !running) ~tokens:victim.cache_len;
+          push_front waiting [ victim ];
+          emit `Preempt ~id:victim.req.Workload.id ~tokens:victim.cache_len;
           if victim == r then false else ensure_capacity r
   in
   let decode_step () =
@@ -946,28 +941,27 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
       let wmult = window_mult !clock in
       let dt = base_dt *. mult *. wmult in
       advance_to (!clock +. dt);
-      if draw_kernel_fail "decode" then begin
+      if draw Runtime.Fault.kernel_failure "decode" then begin
         (* Whole-step transient failure: the step's time is wasted and
            no tokens advance; the next loop iteration retries. Charged
            to decode time (the machine was busy) but not to useful
            occupancy. *)
         decode_time := !decode_time +. dt;
-        emit `Retry ~id:(-1) ~t_us:!clock ~batch:nlive ~tokens:0;
+        emit `Retry ~id:(-1) ~batch:nlive ~tokens:0;
         note_stall (mult > 1.0 || wmult > 1.0)
       end
       else begin
         busy := !busy +. (float_of_int nlive *. dt);
         decode_time := !decode_time +. dt;
-        emit `Decode_step ~id:(-1) ~t_us:!clock ~batch:nlive ~tokens:nlive;
+        emit `Decode_step ~id:(-1) ~batch:nlive ~tokens:nlive;
         note_stall (mult > 1.0 || wmult > 1.0);
         List.iter
           (fun r ->
-            if draw_nan "decode" then begin
+            if draw Runtime.Fault.nan_corruption "decode" then begin
               (* Corrupt output for this request's token: discard it
                  and spend an attempt; the next step regenerates. *)
               r.attempts <- r.attempts + 1;
-              emit `Retry ~id:r.req.Workload.id ~t_us:!clock
-                ~batch:(List.length !running) ~tokens:r.attempts;
+              emit `Retry ~id:r.req.Workload.id ~tokens:r.attempts;
               if r.attempts >= opts.retry.max_attempts then begin
                 running := List.filter (fun x -> x != r) !running;
                 abort r
@@ -979,7 +973,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
               | Some nx ->
                   let logits = numeric_decode_run nx r in
                   r.last_logits <- Some logits;
-                  r.history <- r.history @ [ argmax_token logits ]);
+                  r.rev_history <- argmax_token logits :: r.rev_history);
               r.cache_len <- r.cache_len + 1;
               r.generated <- r.generated + 1;
               if r.generated >= r.req.Workload.output_len then begin
@@ -1005,15 +999,14 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
             (fun (r : rstate) ->
               Block_manager.release bm ~request_id:r.req.Workload.id;
               r.preempt_count <- r.preempt_count + 1;
-              emit `Preempt ~id:r.req.Workload.id ~t_us:!clock
-                ~batch:(List.length !running) ~tokens:r.cache_len)
+              emit `Preempt ~id:r.req.Workload.id ~tokens:r.cache_len)
             !running;
-          waiting := !running @ !waiting;
+          push_front waiting !running;
           running := [];
           advance_to until_us;
           loop ()
       | None ->
-    if !running = [] && !waiting = [] then
+    if !running = [] && waiting_empty () then
       match !arrivals with
       | [] -> ()
       | (r : Workload.request) :: _ ->
@@ -1025,7 +1018,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
         decode_step ();
         loop ()
       end
-      else if progressed || !waiting = [] then
+      else if progressed || waiting_empty () then
         (* Everything admitted finished at its prefill (single-token
            outputs); form the next batch or wait for an arrival. *)
         loop ()
@@ -1045,7 +1038,7 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
               List.fold_left
                 (fun acc (r : rstate) ->
                   if r.retry_at > !clock then Float.min acc r.retry_at else acc)
-                Float.infinity !waiting
+                Float.infinity (to_list waiting)
             in
             let next_arrival =
               match !arrivals with
@@ -1079,7 +1072,8 @@ let run ?trace ?(exec = `Sim) ?stop_at m opts workload =
         (fun (r : rstate) ->
           Block_manager.release bm ~request_id:r.req.Workload.id)
         !running;
-      List.map (fun (r : rstate) -> r.req) (!waiting @ !running) @ !arrivals
+      List.map (fun (r : rstate) -> r.req) (to_list waiting @ !fresh @ !running)
+      @ !arrivals
       |> List.sort (fun (a : Workload.request) (b : Workload.request) ->
              compare
                (a.Workload.arrival_us, a.Workload.id)

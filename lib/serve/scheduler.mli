@@ -221,8 +221,9 @@ val run :
     Raising conditions (all {!Runtime.Fault.Error}):
     - [(Fatal, _)]: caller errors — [max_batch < 1],
       [retry.max_attempts < 1], a request whose
-      [prompt_len + output_len] exceeds the model's max context — or
-      a broken prefill program shape.
+      [prompt_len + output_len] exceeds the model's max context or
+      whose [arrival_us] is not finite — or a broken prefill program
+      shape.
     - [(Resource_exhausted, _)]: without injection, a waiting request
       that can never be admitted (its prompt alone exceeds the KV
       budget on an idle machine) or a lone running request that

@@ -258,6 +258,22 @@ let test_numeric_matches_timed =
           sim.Serve.Scheduler.clock_us num.Serve.Scheduler.clock_us;
       true)
 
+(* An arrival time that is nan or infinite never advances the clock:
+   the run must refuse it up front, as a typed caller error. *)
+let test_nonfinite_arrival () =
+  List.iter
+    (fun t ->
+      let w =
+        List.mapi
+          (fun i (r : Serve.Workload.request) ->
+            if i = 1 then { r with Serve.Workload.arrival_us = t } else r)
+          (workload ~n:3 ())
+      in
+      match Serve.Scheduler.run (Lazy.force model) (opts ()) w with
+      | _ -> Alcotest.failf "arrival %g accepted" t
+      | exception Runtime.Fault.Error (Runtime.Fault.Fatal, _) -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* ---------- numeric smoke ---------- *)
 
 let test_numeric_smoke () =
@@ -798,6 +814,8 @@ let () =
         @ [
             Alcotest.test_case "preempted requests finish" `Quick
               test_preempted_finish;
+            Alcotest.test_case "non-finite arrival is a typed error" `Quick
+              test_nonfinite_arrival;
           ] );
       ( "numeric",
         [
