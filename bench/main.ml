@@ -680,7 +680,7 @@ let kernels_bench () =
           estimate_ns
             (Test.make
                ~name:(Printf.sprintf "imp %s %s" kernel size)
-               (Staged.stage (fun () -> imp args)))
+               (Staged.stage (fun () -> imp [] args)))
         in
         let imp_checked =
           Tir.Imp_compile.compile ~elide_bounds:false f shapes
@@ -689,7 +689,7 @@ let kernels_bench () =
           estimate_ns
             (Test.make
                ~name:(Printf.sprintf "imp-checked %s %s" kernel size)
-               (Staged.stage (fun () -> imp_checked args)))
+               (Staged.stage (fun () -> imp_checked [] args)))
         in
         let speedup = interp_ns /. imp_ns in
         Printf.printf "  %-10s %-12s %12.0f %12.0f %12.0f %7.1fx %6s\n"

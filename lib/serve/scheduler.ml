@@ -109,12 +109,17 @@ let cost_of (e : entry) ctx =
   match Hashtbl.find_opt e.costs ctx with
   | Some c -> c
   | None ->
+      (* Sum this run's charges from zero: a difference of the running
+         total would round at the total's magnitude, and so depend on
+         which shapes this VM ran before. *)
       let st = Runtime.Vm.stats e.vm in
       let before = st.Runtime.Vm.elapsed_us in
+      st.Runtime.Vm.elapsed_us <- 0.0;
       ignore
         (Runtime.Vm.run e.vm e.built.Frontend.Llm.entry
            (Frontend.Llm.args_for e.built ~ctx ~mode:`Shadow ()));
-      let c = st.Runtime.Vm.elapsed_us -. before in
+      let c = st.Runtime.Vm.elapsed_us in
+      st.Runtime.Vm.elapsed_us <- before +. c;
       Hashtbl.add e.costs ctx c;
       c
 

@@ -29,11 +29,14 @@ let backend_of_string = function
   | _ -> None
 
 module Cache = struct
-  type runner = Base.Ndarray.t list -> unit
+  (* Reads the call's own [sym_args]: a runner is shared by every
+     value of the register-held symbolic arguments. *)
+  type runner = (Arith.Var.t * int) list -> Base.Ndarray.t list -> unit
 
   type entry = {
     func : Prim_func.t;
     elide : bool;  (* Imp only: bounds checks elided for this kernel *)
+    registers : Arith.Var.t list;  (* bound per call, not keyed *)
     table : (string, runner) Hashtbl.t;
   }
 
@@ -60,7 +63,15 @@ module Cache = struct
   let elision_of t name =
     Option.map (fun e -> e.elide) (Hashtbl.find_opt t.entries name)
 
-  let sig_key (shapes : int array list) (sym_args : (Arith.Var.t * int) list) =
+  let register_vars_of t name =
+    Option.map
+      (fun e -> List.map Arith.Var.name e.registers)
+      (Hashtbl.find_opt t.entries name)
+
+  (* The argument shapes and the values of the specialised symbolic
+     arguments; register-held ones are left out. *)
+  let sig_key registers (shapes : int array list)
+      (sym_args : (Arith.Var.t * int) list) =
     let b = Stdlib.Buffer.create 32 in
     List.iter
       (fun s ->
@@ -73,15 +84,17 @@ module Cache = struct
         Stdlib.Buffer.add_char b ']')
       shapes;
     List.iter
-      (fun (_, x) ->
-        Stdlib.Buffer.add_char b '/';
-        Stdlib.Buffer.add_string b (string_of_int x))
+      (fun (v, x) ->
+        if not (List.exists (Arith.Var.equal v) registers) then begin
+          Stdlib.Buffer.add_char b '/';
+          Stdlib.Buffer.add_string b (string_of_int x)
+        end)
       sym_args;
     Stdlib.Buffer.contents b
 
   let compile_for t (e : entry) ~sym_args shapes : runner =
     match t.backend with
-    | Interp -> fun args -> Interp.run ~sym_args e.func args
+    | Interp -> fun sym_args args -> Interp.run ~sym_args e.func args
     | Imp -> Imp_compile.compile ~sym_args ~elide_bounds:e.elide e.func shapes
 
   let run t ?(sym_args = []) (f : Prim_func.t) (args : Base.Ndarray.t list) =
@@ -94,11 +107,18 @@ module Cache = struct
       | Some e when e.func == f -> e
       | Some _ | None ->
           let elide = t.backend = Imp && t.prove f in
-          let e = { func = f; elide; table = Hashtbl.create 4 } in
+          let e =
+            {
+              func = f;
+              elide;
+              registers = Imp_compile.register_vars f;
+              table = Hashtbl.create 4;
+            }
+          in
           Hashtbl.replace t.entries f.Prim_func.name e;
           e
     in
-    let key = sig_key shapes sym_args in
+    let key = sig_key entry.registers shapes sym_args in
     let runner =
       match Hashtbl.find_opt entry.table key with
       | Some r ->
@@ -110,5 +130,5 @@ module Cache = struct
           Hashtbl.replace entry.table key r;
           r
     in
-    runner args
+    runner sym_args args
 end

@@ -32,17 +32,27 @@ module Cache : sig
     Base.Ndarray.t list ->
     unit
   (** Execute through the cache: compile on first sight of a
-      (kernel, shape signature), replay after. The backend is fixed
-      at {!create}, so one cache never holds another backend's code. *)
+      (kernel, signature), replay after. The signature is the argument
+      shapes plus the values of the specialised symbolic arguments;
+      register-held ones ({!Imp_compile.register_vars}) are read from
+      each call's [sym_args] and never keyed. The backend is fixed at
+      {!create}, so one cache never holds another backend's code. *)
 
   val backend : t -> backend
   val hits : t -> int
   val misses : t -> int
 
   val compiled_count : t -> int
-  (** Number of distinct (kernel, shape signature) entries compiled. *)
+  (** Number of distinct (kernel, signature) entries compiled: a
+      kernel whose symbolic arguments are all register-held compiles
+      once per argument-shape signature, whatever their values. *)
 
   val elision_of : t -> string -> bool option
   (** Whether bounds checks were elided for the named kernel; [None]
       if the kernel has not been seen. *)
+
+  val register_vars_of : t -> string -> string list option
+  (** Names of the named kernel's register-held symbolic arguments
+      (empty when all are specialised); [None] if the kernel has not
+      been seen. *)
 end

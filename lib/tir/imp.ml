@@ -11,7 +11,9 @@
    - Registers are indices into two flat arrays ([int array] /
      [float array]) owned by the compiled kernel and reused across
      calls; the lowering is SSA-like (each value register is written
-     before any read), so no clearing between runs is needed.
+     before any read), so no clearing between runs is needed. The
+     int registers of register-held symbolic arguments are written
+     when a call binds the kernel, before [exec].
    - Loads and stores come in checked and unsafe variants. The checked
      forms use OCaml's bounds-checked array access; the unsafe forms
      ([Array.unsafe_get]/[unsafe_set]) are emitted only when
@@ -154,9 +156,9 @@ type instr =
   | Jifnot of { c : int; target : int }
   | Jge of { a : int; b : int; target : int }
       (** jump when iregs.(a) >= iregs.(b): the loop guard *)
-  (* scoped scratch buffers: a fresh zeroed array per scope entry,
-     released (reset to [||]) at scope exit, like the interpreter's
-     per-scope Ndarray *)
+  (* scoped scratch buffers: a fresh zeroed array of [iregs.(numel)]
+     elements per scope entry, released (reset to [||]) at scope exit,
+     like the interpreter's per-scope Ndarray *)
   | Alloc_f of { buf : int; numel : int }
   | Alloc_i of { buf : int; numel : int }
   | Free_f of { buf : int }
@@ -560,8 +562,10 @@ let exec (p : program) ~(iregs : int array) ~(fregs : float array)
     | Jge { a; b; target } ->
         if Array.unsafe_get iregs a >= Array.unsafe_get iregs b then
           pc := target - 1
-    | Alloc_f { buf; numel } -> fbufs.(buf) <- Array.make numel 0.0
-    | Alloc_i { buf; numel } -> ibufs.(buf) <- Array.make numel 0
+    | Alloc_f { buf; numel } ->
+        fbufs.(buf) <- Array.make (Array.unsafe_get iregs numel) 0.0
+    | Alloc_i { buf; numel } ->
+        ibufs.(buf) <- Array.make (Array.unsafe_get iregs numel) 0
     | Free_f { buf } -> fbufs.(buf) <- [||]
     | Free_i { buf } -> ibufs.(buf) <- [||]
     | Floop { n; acc; op; unsafe } -> (
@@ -1026,8 +1030,8 @@ let instr_to_string = function
   | Jif { c; target } -> Printf.sprintf "jif i%d, @%d" c target
   | Jifnot { c; target } -> Printf.sprintf "jifnot i%d, @%d" c target
   | Jge { a; b; target } -> Printf.sprintf "jge i%d, i%d, @%d" a b target
-  | Alloc_f { buf; numel } -> Printf.sprintf "alloc.f b%d, %d" buf numel
-  | Alloc_i { buf; numel } -> Printf.sprintf "alloc.i b%d, %d" buf numel
+  | Alloc_f { buf; numel } -> Printf.sprintf "alloc.f b%d, i%d" buf numel
+  | Alloc_i { buf; numel } -> Printf.sprintf "alloc.i b%d, i%d" buf numel
   | Free_f { buf } -> Printf.sprintf "free.f b%d" buf
   | Free_i { buf } -> Printf.sprintf "free.i b%d" buf
   | Floop { n; acc; op; unsafe } ->

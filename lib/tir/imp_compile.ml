@@ -2,10 +2,15 @@
 
    Where {!Interp} walks the AST per element with boxed values and
    hashtable lookups, this module emits a flat instruction stream once
-   per (kernel, shape signature):
+   per (kernel, symbolic signature):
 
-   - symbolic shape variables resolve to constants, so loop extents,
-     strides and constant-foldable index arithmetic become immediates;
+   - a symbolic argument ([sym_params]) that only sizes loops and
+     scratch rows, offsets addresses or feeds float values lives in an
+     int register filled from the call's [sym_args] when the kernel
+     is bound ({!register_vars}), so one program serves every value;
+     every other symbolic variable (shape-derived ones included)
+     resolves to a constant, so strides and the stream strides of the
+     fused templates below stay immediates;
    - loop-invariant *index* arithmetic is hoisted: every pure integer
      expression is emitted at the loop level of its deepest loop
      variable and memoized there (so a row base [i*K] is computed once
@@ -55,13 +60,14 @@ type level = {
 type bslot = {
   index : int;  (* position in the program's buffer file *)
   is_float : bool;
-  strides : int array;
-  shape : int array;
+  strides : Arith.Expr.t array;  (* constants, or over register vars *)
 }
 
 type ctx = {
-  sym : (int, int) Hashtbl.t;  (* shape var id -> constant *)
-  var_reg : (int, int * int) Hashtbl.t;  (* loop var id -> (ireg, depth) *)
+  sym : (int, int) Hashtbl.t;  (* specialised var id -> constant *)
+  var_reg : (int, int * int) Hashtbl.t;
+      (* loop var id -> (ireg, depth); register-held symbolic
+         arguments sit at depth 0 *)
   bufs : (int, bslot) Hashtbl.t;
   mutable levels : level list;  (* head = innermost open loop *)
   mutable n_ireg : int;
@@ -140,13 +146,17 @@ let slot_of ctx (b : Buffer.t) =
   | Some s -> s
   | None -> fail "unbound buffer %s" b.Buffer.name
 
-let strides_of (shape : int array) =
-  let rank = Array.length shape in
-  let strides = Array.make rank 1 in
+(* Row-major strides; constant dimensions fold to constant strides. *)
+let strides_of (dims : Arith.Expr.t array) =
+  let rank = Array.length dims in
+  let strides = Array.make rank (Arith.Expr.const 1) in
   for d = rank - 2 downto 0 do
-    strides.(d) <- strides.(d + 1) * shape.(d + 1)
+    strides.(d) <- Arith.Expr.mul strides.(d + 1) dims.(d + 1)
   done;
   strides
+
+let const_strides (shape : int array) =
+  strides_of (Array.map Arith.Expr.const shape)
 
 (* ---------- index (Arith.Expr) lowering with hoisting ---------- *)
 
@@ -305,7 +315,8 @@ let rec is_float_expr (e : Texpr.t) =
 (* The flat offset of an access as one index expression over the
    given row-major strides, or [None] when an index is not a pure
    index expression (it loads) or the rank is wrong. *)
-let flat_expr (strides : int array) (il : Texpr.t list) : Arith.Expr.t option =
+let flat_expr (strides : Arith.Expr.t array) (il : Texpr.t list) :
+    Arith.Expr.t option =
   let as_idx = List.map Texpr.as_index il in
   if
     List.length il <> Array.length strides
@@ -316,8 +327,7 @@ let flat_expr (strides : int array) (il : Texpr.t list) : Arith.Expr.t option =
       (List.fold_left
          (fun (d, acc) ie ->
            ( d + 1,
-             Arith.Expr.add acc
-               (Arith.Expr.mul (Option.get ie) (Arith.Expr.const strides.(d)))
+             Arith.Expr.add acc (Arith.Expr.mul (Option.get ie) strides.(d))
            ))
          (0, Arith.Expr.const 0) as_idx
       |> snd)
@@ -380,14 +390,18 @@ and flat_addr ctx what (s : bslot) (idxs : Texpr.t list) : int =
       let addr = ref (-1) in
       List.iteri
         (fun d code ->
-          let stride = s.strides.(d) in
           let term =
-            if stride = 1 then code
-            else begin
-              let r = new_ireg ctx in
-              emit ctx (Imp.Imuli { dst = r; a = code; imm = stride });
-              r
-            end
+            match Arith.Expr.as_const s.strides.(d) with
+            | Some 1 -> code
+            | Some stride ->
+                let r = new_ireg ctx in
+                emit ctx (Imp.Imuli { dst = r; a = code; imm = stride });
+                r
+            | None ->
+                let b = comp_arith ctx s.strides.(d) in
+                let r = new_ireg ctx in
+                emit ctx (Imp.Ibin { op = Imp.Mul; dst = r; a = code; b });
+                r
           in
           if !addr < 0 then addr := term
           else begin
@@ -945,7 +959,7 @@ type row_stream = {
   w_stride : int;
 }
 
-let match_row_stream ~lookup ~shape (j : Arith.Var.t) (body : Stmt.t) :
+let match_row_stream ~lookup ~strides (j : Arith.Var.t) (body : Stmt.t) :
     row_stream option =
   let is_float_buf (b : Buffer.t) = Base.Dtype.is_float b.Buffer.dtype in
   match body with
@@ -958,7 +972,7 @@ let match_row_stream ~lookup ~shape (j : Arith.Var.t) (body : Stmt.t) :
       let operand_buf b = is_float_buf b && not (is_y b) in
       (* [(base, j-stride, k-stride)] of an access's flat offset *)
       let lin2 (b : Buffer.t) il =
-        match flat_expr (strides_of (shape b)) il with
+        match flat_expr (strides b) il with
         | None -> None
         | Some fe -> (
             match lin lookup j fe with
@@ -1010,7 +1024,8 @@ let match_row_stream ~lookup ~shape (j : Arith.Var.t) (body : Stmt.t) :
   | _ -> None
 
 let row_stream_extent ~lookup ~shape j body =
-  match_row_stream ~lookup ~shape j body |> Option.map (fun m -> m.k_extent)
+  match_row_stream ~lookup ~strides:(fun b -> const_strides (shape b)) j body
+  |> Option.map (fun m -> m.k_extent)
 
 (* Lower a matching nest to one {!Imp.Frow}. Like [comp_floop], the
    instruction is guarded by a zero-trip jump on [j], and the
@@ -1022,7 +1037,7 @@ let row_stream_extent ~lookup ~shape j body =
 let comp_row ctx (j : Arith.Var.t) nj_reg (body : Stmt.t) : bool =
   match
     match_row_stream ~lookup:(sym_lookup ctx)
-      ~shape:(fun b -> (slot_of ctx b).shape)
+      ~strides:(fun b -> (slot_of ctx b).strides)
       j body
   with
   | None -> false
@@ -1093,22 +1108,35 @@ let rec comp_stmt ctx (s : Stmt.t) : unit =
           (cur ctx).imemo <- snap;
           emit_lbl ctx lend)
   | Stmt.Alloc (b, body) ->
-      let shape =
+      (* a dimension over register-held symbolic arguments sizes the
+         buffer at run time, and its strides then live in registers *)
+      let bound (v : Arith.Var.t) =
+        sym_lookup ctx v <> None
+        || Option.map snd (Hashtbl.find_opt ctx.var_reg v.Arith.Var.id)
+           = Some 0
+      in
+      let dims =
         Array.of_list
           (List.map
              (fun dim ->
                match Arith.Expr.eval_opt (sym_lookup ctx) dim with
-               | Some c -> c
+               | Some c -> Arith.Expr.const c
+               | None
+                 when Arith.Var.Set.for_all bound (Arith.Expr.free_vars dim) ->
+                   dim
                | None ->
                    fail "alloc of %s: dimension %s is not shape-static"
                      b.Buffer.name (Arith.Expr.to_string dim))
              b.Buffer.shape)
       in
-      let numel = Array.fold_left ( * ) 1 shape in
+      let numel =
+        comp_arith ctx
+          (Array.fold_left Arith.Expr.mul (Arith.Expr.const 1) dims)
+      in
       let is_float = Base.Dtype.is_float b.Buffer.dtype in
       let index = new_buf ctx in
       Hashtbl.replace ctx.bufs b.Buffer.id
-        { index; is_float; strides = strides_of shape; shape };
+        { index; is_float; strides = strides_of dims };
       emit ctx
         (if is_float then Imp.Alloc_f { buf = index; numel }
          else Imp.Alloc_i { buf = index; numel });
@@ -1284,9 +1312,88 @@ and comp_unrolled ctx var vreg n_reg b idxs v =
   let items = pop_level ctx in
   splice ctx items
 
+(* ---------- symbolic arguments held in registers ---------- *)
+
+(* Loop variables the fused templates linearize addresses over: the
+   variable of every loop whose body is a single store ([comp_floop])
+   and both variables of every nest shaped like a row stream
+   ([match_row_stream]). *)
+let rec linearized acc (s : Stmt.t) =
+  match s with
+  | Stmt.Seq ss -> List.fold_left linearized acc ss
+  | Stmt.For { var; body; _ } ->
+      let acc =
+        match body with
+        | Stmt.Seq [ Stmt.Store _; Stmt.For { var = k; _ } ] ->
+            Arith.Var.Set.add var (Arith.Var.Set.add k acc)
+        | _ when single_store body <> None -> Arith.Var.Set.add var acc
+        | _ -> acc
+      in
+      linearized acc body
+  | Stmt.If (_, t, e) ->
+      let acc = linearized acc t in
+      Option.fold ~none:acc ~some:(linearized acc) e
+  | Stmt.Alloc (_, body) -> linearized acc body
+  | Stmt.Store _ | Stmt.Assert _ | Stmt.Evaluate _ -> acc
+
+(* The variables of [cands] that some product in [e] multiplies by a
+   term over a variable of [lvars]: [lin] needs that factor constant. *)
+let rec coefficient_vars ~lvars ~cands acc (e : Arith.Expr.t) =
+  let go = coefficient_vars ~lvars ~cands in
+  match e with
+  | Arith.Expr.Const _ | Arith.Expr.Var _ -> acc
+  | Arith.Expr.Mul (a, b) ->
+      let pair x y acc =
+        let meets vs z =
+          not (Arith.Var.Set.disjoint vs (Arith.Expr.free_vars z))
+        in
+        if meets lvars x && meets cands y then
+          Arith.Var.Set.union acc
+            (Arith.Var.Set.inter cands (Arith.Expr.free_vars y))
+        else acc
+      in
+      go (go (pair a b (pair b a acc)) a) b
+  | Arith.Expr.Add (a, b)
+  | Arith.Expr.Sub (a, b)
+  | Arith.Expr.Floor_div (a, b)
+  | Arith.Expr.Floor_mod (a, b)
+  | Arith.Expr.Min (a, b)
+  | Arith.Expr.Max (a, b) ->
+      go (go acc a) b
+
+let register_vars (f : Prim_func.t) =
+  let in_params =
+    List.fold_left
+      (fun acc b -> Arith.Var.Set.union acc (Buffer.free_sym_vars b))
+      Arith.Var.Set.empty f.Prim_func.params
+  in
+  let cands =
+    Arith.Var.Set.diff (Arith.Var.Set.of_list f.Prim_func.sym_params) in_params
+  in
+  if Arith.Var.Set.is_empty cands then []
+  else
+    let lvars = linearized Arith.Var.Set.empty f.Prim_func.body in
+    let strides (b : Buffer.t) = strides_of (Array.of_list b.Buffer.shape) in
+    let pinned =
+      List.fold_left
+        (fun acc (b, il) ->
+          match flat_expr (strides b) il with
+          | Some flat -> coefficient_vars ~lvars ~cands acc flat
+          | None -> acc)
+        Arith.Var.Set.empty
+        (Stmt.loads f.Prim_func.body @ Stmt.stores f.Prim_func.body)
+    in
+    List.filter
+      (fun v -> Arith.Var.Set.mem v cands && not (Arith.Var.Set.mem v pinned))
+      f.Prim_func.sym_params
+
 (* ---------- entry points ---------- *)
 
-type compiled = Base.Ndarray.t list -> unit
+type compiled = (Arith.Var.t * int) list -> Base.Ndarray.t list -> unit
+
+let rec sym_value name (v : Arith.Var.t) = function
+  | [] -> fail "%s: unbound symbolic variable %s" name (Arith.Var.name v)
+  | (v', x) :: rest -> if Arith.Var.equal v' v then x else sym_value name v rest
 
 let lower_internal ?(sym_args = []) ?(elide_bounds = false) (f : Prim_func.t)
     (arg_shapes : int array list) =
@@ -1294,10 +1401,16 @@ let lower_internal ?(sym_args = []) ?(elide_bounds = false) (f : Prim_func.t)
     fail "%s: expected %d buffer arguments, got %d" f.Prim_func.name
       (List.length f.Prim_func.params)
       (List.length arg_shapes);
+  let regs = register_vars f in
+  let specialised =
+    List.filter
+      (fun (v, _) -> not (List.exists (Arith.Var.equal v) regs))
+      sym_args
+  in
   let sym = Hashtbl.create 16 in
   List.iter
     (fun ((v : Arith.Var.t), x) -> Hashtbl.replace sym v.Arith.Var.id x)
-    sym_args;
+    specialised;
   Interp.unify_shapes sym f arg_shapes;
   let ctx =
     {
@@ -1315,6 +1428,14 @@ let lower_internal ?(sym_args = []) ?(elide_bounds = false) (f : Prim_func.t)
       acc = None;
     }
   in
+  let reg_slots =
+    List.map
+      (fun (v : Arith.Var.t) ->
+        let r = new_ireg ctx in
+        Hashtbl.replace ctx.var_reg v.Arith.Var.id (r, 0);
+        (v, r))
+      regs
+  in
   let param_slots =
     List.map2
       (fun (b : Buffer.t) shape ->
@@ -1322,12 +1443,11 @@ let lower_internal ?(sym_args = []) ?(elide_bounds = false) (f : Prim_func.t)
           {
             index = new_buf ctx;
             is_float = Base.Dtype.is_float b.Buffer.dtype;
-            strides = strides_of shape;
-            shape;
+            strides = const_strides shape;
           }
         in
         Hashtbl.replace ctx.bufs b.Buffer.id s;
-        s)
+        (s, shape))
       f.Prim_func.params arg_shapes
   in
   comp_stmt ctx f.Prim_func.body;
@@ -1372,14 +1492,15 @@ let lower_internal ?(sym_args = []) ?(elide_bounds = false) (f : Prim_func.t)
       n_bufs = max 1 ctx.n_buf;
     }
   in
-  (program, param_slots)
+  (program, param_slots, reg_slots, specialised)
 
 let lower ?sym_args ?elide_bounds f arg_shapes =
-  fst (lower_internal ?sym_args ?elide_bounds f arg_shapes)
+  let program, _, _, _ = lower_internal ?sym_args ?elide_bounds f arg_shapes in
+  program
 
 let compile ?sym_args ?elide_bounds (f : Prim_func.t)
     (arg_shapes : int array list) : compiled =
-  let program, param_slots =
+  let program, param_slots, reg_slots, specialised =
     lower_internal ?sym_args ?elide_bounds f arg_shapes
   in
   let iregs = Array.make program.Imp.n_iregs 0 in
@@ -1388,13 +1509,20 @@ let compile ?sym_args ?elide_bounds (f : Prim_func.t)
   let ibufs = Array.make program.Imp.n_bufs [||] in
   let name = f.Prim_func.name in
   let nparams = List.length param_slots in
-  fun args ->
+  fun sym_args args ->
     if List.length args <> nparams then
       fail "%s: expected %d buffer arguments, got %d" name nparams
         (List.length args);
+    List.iter
+      (fun ((v : Arith.Var.t), x) ->
+        if sym_value name v sym_args <> x then
+          fail "%s: symbolic argument %s changed since compilation" name
+            (Arith.Var.name v))
+      specialised;
+    List.iter (fun (v, r) -> iregs.(r) <- sym_value name v sym_args) reg_slots;
     List.iter2
-      (fun (s : bslot) (nd : Base.Ndarray.t) ->
-        if nd.Base.Ndarray.shape <> s.shape then
+      (fun ((s : bslot), shape) (nd : Base.Ndarray.t) ->
+        if nd.Base.Ndarray.shape <> shape then
           fail "%s: argument shape changed since compilation" name;
         match nd.Base.Ndarray.data with
         | Base.Ndarray.Float_data a when s.is_float -> fbufs.(s.index) <- a
@@ -1404,10 +1532,10 @@ let compile ?sym_args ?elide_bounds (f : Prim_func.t)
       param_slots args;
     Imp.exec program ~iregs ~fregs ~fbufs ~ibufs
 
-let run ?sym_args ?elide_bounds (f : Prim_func.t) (args : Base.Ndarray.t list)
-    =
+let run ?(sym_args = []) ?elide_bounds (f : Prim_func.t)
+    (args : Base.Ndarray.t list) =
   let c =
-    compile ?sym_args ?elide_bounds f
+    compile ~sym_args ?elide_bounds f
       (List.map (fun nd -> nd.Base.Ndarray.shape) args)
   in
-  c args
+  c sym_args args

@@ -1,7 +1,10 @@
 (** Lower tensor programs to the flat imperative IR ({!Imp}).
 
-    Per (kernel, shape signature): symbolic shapes become constants,
-    loop-invariant index arithmetic is hoisted to the loop level of
+    Per (kernel, symbolic signature): the symbolic arguments that
+    {!register_vars} selects live in int registers bound from each
+    call's [sym_args], every other symbolic variable becomes a
+    constant, loop-invariant index arithmetic is hoisted to the loop
+    level of
     its deepest variable, buffer accesses become flat offsets into raw
     storage, innermost single-store loops fuse into native trip loops
     ([Imp.Floop]) or are unrolled by 4 with register-promoted
@@ -18,9 +21,24 @@
     otherwise every access keeps OCaml's bounds check on the flat
     storage array. *)
 
-type compiled = Base.Ndarray.t list -> unit
-(** A bound kernel: call with arguments whose shapes match the
-    signature it was compiled for (outputs mutated in place). *)
+type compiled = (Arith.Var.t * int) list -> Base.Ndarray.t list -> unit
+(** A bound kernel: call with the symbolic arguments and buffer
+    arguments of one launch (outputs mutated in place). The shapes and
+    the specialised symbolic arguments must match the signature it
+    was compiled for; register-held ones may take any value.
+    @raise Interp.Runtime_error otherwise, or when a symbolic argument
+    is missing. *)
+
+val register_vars : Prim_func.t -> Arith.Var.t list
+(** The [sym_params] a compiled program holds in int registers, in
+    declaration order: those appearing in no parameter shape and
+    multiplied by no variable of a loop the fused templates linearize
+    an address over (so every stride, including the stream strides of
+    {!Imp.Floop} and {!Imp.Frow}, stays a constant). They may size
+    loop extents and scratch buffers, offset addresses and feed
+    values. The rest are specialised: folded to constants at lowering
+    and part of the cache key. A static classification, decided
+    before lowering. *)
 
 val row_stream_extent :
   lookup:(Arith.Var.t -> int option) ->
@@ -43,7 +61,8 @@ val lower :
   int array list ->
   Imp.program
 (** The lowered program, for inspection ({!Imp.to_string},
-    {!Imp.count_mem}) and tests.
+    {!Imp.count_mem}) and tests. The values of register-held variables
+    in [sym_args] are ignored.
     @raise Interp.Runtime_error on rank/shape inconsistencies or
     ill-kinded expressions. *)
 
@@ -54,7 +73,8 @@ val compile :
   int array list ->
   compiled
 (** Lower and bind to a reusable executable closure (register files
-    allocated once, reused across calls). *)
+    allocated once, reused across calls). [sym_args] supplies the
+    specialised symbolic arguments. *)
 
 val run :
   ?sym_args:(Arith.Var.t * int) list ->

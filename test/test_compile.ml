@@ -4,8 +4,10 @@
    variants, runs under fixed and random shapes/inputs through
    Tir.Interp.run (the reference semantics) and the imp backend, both
    checked and bounds-elided; outputs must be bit-identical across all
-   three. Also covers the kernel cache (VM and standalone), the
-   Floor_div/Shift_right semantics fixes, and the @perf-smoke timing
+   three. Also covers the kernel cache (VM and standalone), symbolic
+   signatures (register-held symbolic arguments: one program serves
+   every position), the Floor_div/Shift_right semantics fixes, and
+   the @perf-smoke timing
    sanity check (the default imp backend must not be slower than the
    interpreter on the matmul micro case). *)
 
@@ -34,8 +36,11 @@ let bits_equal_exn msg (a : Base.Ndarray.t) (b : Base.Ndarray.t) =
 (* Run [k] through the interpreter and the imp backend (both checked
    and bounds-elided) on identical inputs (same seeds, separate
    arrays); all buffers — inputs included, to catch clobbering — must
-   come out bit-identical across all three. *)
-let differential ?(sym_args = []) ?(seed = 0) ?fill msg
+   come out bit-identical across all three. [compiled] supplies the
+   checked and elided imp programs, compiled earlier, instead of
+   compiling them for this call, and each of [caches] runs [k] too. *)
+let differential ?(sym_args = []) ?(seed = 0) ?fill ?compiled ?(caches = [])
+    msg
     (k : Tir.Prim_func.t) (shapes : int array list) =
   let n = List.length k.Tir.Prim_func.params in
   let n_out = k.Tir.Prim_func.num_outputs in
@@ -68,8 +73,23 @@ let differential ?(sym_args = []) ?(seed = 0) ?fill msg
         bits_equal_exn (Printf.sprintf "%s[%s arg %d]" msg tag i) r c)
       (List.combine ref_args cmp_args)
   in
-  check "imp" (Tir.Imp_compile.run ~sym_args ~elide_bounds:false k);
-  check "imp-elide" (Tir.Imp_compile.run ~sym_args ~elide_bounds:true k)
+  let imp, imp_elide =
+    match compiled with
+    | Some pair -> pair
+    | None ->
+        let c elide =
+          Tir.Imp_compile.compile ~sym_args ~elide_bounds:elide k shapes
+        in
+        (c false, c true)
+  in
+  check "imp" (imp sym_args);
+  check "imp-elide" (imp_elide sym_args);
+  List.iter
+    (fun c ->
+      check
+        ("cached " ^ Tir.Exec.backend_name (Tir.Exec.Cache.backend c))
+        (Tir.Exec.Cache.run c ~sym_args k))
+    caches
 
 (* ---------- every kernel family, fixed shapes ---------- *)
 
@@ -904,6 +924,313 @@ let test_backend_roundtrip () =
         rest
   | [] -> Alcotest.fail "no backends"
 
+(* ---------- symbolic signatures: register-held sym args ---------- *)
+
+let compile_cpu (built : Frontend.Llm.built) =
+  Relax_passes.Pipeline.compile
+    ~options:
+      { Relax_passes.Pipeline.default_options with
+        Relax_passes.Pipeline.upper_bounds =
+          Frontend.Llm.upper_bound_hints built }
+    ~device:Runtime.Device.samsung_s24_cpu built.Frontend.Llm.mod_
+
+(* 200 numeric decode steps, each at a new position and cache length:
+   every kernel compiles on the first step and replays after, and the
+   position-dependent kernels (RoPE, fused with the reshape before
+   it, the KV write and paged attention) hold their variable in a
+   register. *)
+let test_symbolic_decode_steps () =
+  let cfg =
+    { Frontend.Configs.tiny with Frontend.Configs.max_context = 256 }
+  in
+  let dec = Frontend.Llm.decode_paged cfg ~batch:1 Frontend.Llm.F16 in
+  let vm = Runtime.Vm.create `Numeric (compile_cpu dec) in
+  let cache = Runtime.Vm.kernel_cache vm in
+  let template = Frontend.Llm.args_for dec ~ctx:0 ~seed:7 ~mode:`Numeric () in
+  let step pos =
+    ignore
+      (Runtime.Vm.run vm "decode"
+         (List.mapi
+            (fun i a -> if i = 1 then Runtime.Vm.Shape_val [| pos |] else a)
+            template))
+  in
+  step 0;
+  let compiled = Tir.Exec.Cache.compiled_count cache in
+  Alcotest.(check bool) "first step compiles" true (compiled > 0);
+  for pos = 1 to 199 do
+    step pos;
+    if Tir.Exec.Cache.compiled_count cache <> compiled then
+      Alcotest.failf "step %d compiled %d programs (first step: %d)" pos
+        (Tir.Exec.Cache.compiled_count cache) compiled
+  done;
+  Alcotest.(check int) "every miss was on the first step" compiled
+    (Tir.Exec.Cache.misses cache);
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check (option (list string)))
+        (name ^ " register vars") (Some want)
+        (Tir.Exec.Cache.register_vars_of cache name))
+    [ ("fused_reshape_rope_q", [ "m" ]);
+      ("fused_reshape_1_rope_k", [ "m" ]);
+      ("kv_write", [ "wpos" ]);
+      ("attention_paged", [ "alen" ]) ]
+
+(* attention_prefill's [n] is shape-derived and strides its scratch
+   rows, so it stays specialised: each length is its own program. A
+   symbolic argument multiplied by the variable of a fused loop
+   (here [w], the row stride of scratch [t] in an innermost loop over
+   rows) stays specialised and keyed too, while [o], an offset in the
+   same kernel, is held in a register. *)
+let test_symbolic_specialised () =
+  let cache = Tir.Exec.Cache.create Tir.Exec.Imp in
+  let prefill = attention_prefill (va ()) in
+  List.iter
+    (fun n ->
+      let shapes =
+        [ [| 2; n; 4 |]; [| 1; n; 4 |]; [| 1; n; 4 |]; [| 2; n; 4 |] ]
+      in
+      Tir.Exec.Cache.run cache prefill
+        (List.mapi
+           (fun i sh -> Base.Ndarray.random_uniform ~seed:(n + i) f32 sh)
+           shapes))
+    [ 3; 5; 3 ];
+  Alcotest.(check (option (list string)))
+    "attention_prefill register vars" (Some [])
+    (Tir.Exec.Cache.register_vars_of cache "attention_prefill");
+  Alcotest.(check int) "one program per prefill length" 2
+    (Tir.Exec.Cache.compiled_count cache);
+  let w = sym "w" and o = sym "o" in
+  let ew = Arith.Expr.var w and eo = Arith.Expr.var o in
+  let x = Tir.Buffer.create "X" [ e 4; e 16 ] f32 in
+  let y = Tir.Buffer.create "Y" [ e 4 ] f32 in
+  let t = Tir.Buffer.create ~scope:Tir.Buffer.Shared "t" [ e 4; ew ] f32 in
+  let i = sym "i" and j = sym "j" in
+  let ei = Arith.Expr.var i and ej = Arith.Expr.var j in
+  let body =
+    Tir.Stmt.Alloc
+      ( t,
+        Tir.Stmt.seq
+          [ Tir.Stmt.for_ j ew
+              (Tir.Stmt.for_ i (e 4)
+                 (Tir.Stmt.Store
+                    ( t,
+                      List.map Tir.Texpr.idx [ ei; ej ],
+                      Tir.Texpr.load x [ ei; Arith.Expr.add ej eo ] )));
+            Tir.Stmt.for_ i (e 4)
+              (Tir.Stmt.seq
+                 [ Tir.Stmt.Store (y, [ Tir.Texpr.idx ei ], Tir.Texpr.f 0.0);
+                   Tir.Stmt.for_ j ew
+                     (Tir.Stmt.Store
+                        ( y,
+                          [ Tir.Texpr.idx ei ],
+                          Tir.Texpr.(
+                            Load (y, [ idx ei ]) +. Load (t, [ idx ei; idx ej ]))
+                        )) ]) ] )
+  in
+  let k =
+    Tir.Prim_func.create ~sym_params:[ w; o ] ~name:"strided" ~params:[ x; y ]
+      body
+  in
+  Alcotest.(check (list string)) "only the offset is a register" [ "o" ]
+    (List.map Arith.Var.name (Tir.Imp_compile.register_vars k));
+  let cache = Tir.Exec.Cache.create Tir.Exec.Imp in
+  List.iter
+    (fun (wv, ov) ->
+      let sym_args = [ (w, wv); (o, ov) ] in
+      differential ~sym_args
+        (Printf.sprintf "strided w=%d o=%d" wv ov)
+        k
+        [ [| 4; 16 |]; [| 4 |] ];
+      Tir.Exec.Cache.run cache ~sym_args k
+        [ Base.Ndarray.random_uniform ~seed:1 f32 [| 4; 16 |];
+          Base.Ndarray.create f32 [| 4 |] ])
+    [ (3, 0); (3, 5); (6, 2); (6, 10) ];
+  Alcotest.(check int) "keyed by w, not by o" 2
+    (Tir.Exec.Cache.compiled_count cache)
+
+(* One compiled program per kernel and elision mode serves every
+   position: 0, 1, the midpoint and the last, on random and on
+   special-value inputs, bit-identical to the interpreter at each. So
+   does one cache entry per backend: every runner reads the call's own
+   value. *)
+let test_symbolic_many_values () =
+  let max_ctx = 20 in
+  let pos = sym "pos" in
+  let rope =
+    Frontend.Attention.rope_decode ~name:"rope_q" ~batch:(e 1) ~heads:2
+      ~head_dim:4 ~pos f32
+  in
+  let wpos = sym "wpos" in
+  let kvw =
+    Frontend.Attention.kv_write ~name:"kv_write" ~batch:(e 1) ~kv_heads:1
+      ~head_dim:4 ~max_ctx:(e max_ctx) ~pos:wpos f32
+  in
+  let len, paged = attention_paged () in
+  let cases =
+    [ (rope, pos, [ [| 1; 2; 1; 4 |]; [| 1; 2; 1; 4 |] ], [ 0; 1; 10; 19 ]);
+      (kvw, wpos, [ [| 1; 1; 1; 4 |]; [| 1; 1; 20; 4 |] ], [ 0; 1; 10; 19 ]);
+      (paged, len, paged_shapes, [ 0; 1; 10; 19; 20 ]) ]
+  in
+  List.iter
+    (fun ((k : Tir.Prim_func.t), v, shapes, values) ->
+      Alcotest.(check (list string))
+        (k.Tir.Prim_func.name ^ " holds its variable in a register")
+        [ Arith.Var.name v ]
+        (List.map Arith.Var.name (Tir.Imp_compile.register_vars k));
+      let c elide = Tir.Imp_compile.compile ~elide_bounds:elide k shapes in
+      let compiled = (c false, c true) in
+      let caches = List.map Tir.Exec.Cache.create Tir.Exec.all in
+      List.iter
+        (fun x ->
+          let sym_args = [ (v, x) ] in
+          let msg = Printf.sprintf "%s at %d" k.Tir.Prim_func.name x in
+          differential ~compiled ~caches ~sym_args msg k shapes;
+          differential ~compiled ~caches ~sym_args ~fill:fill_specials
+            (msg ^ ", specials") k shapes)
+        values;
+      List.iter
+        (fun cache ->
+          Alcotest.(check int)
+            (k.Tir.Prim_func.name ^ " cached once")
+            1
+            (Tir.Exec.Cache.compiled_count cache))
+        caches)
+    cases
+
+(* [f] with each register-held variable replaced by a constant: the
+   lowering the kernel would get if the variable were specialised. *)
+let specialise (f : Tir.Prim_func.t) value =
+  let regs = Tir.Imp_compile.register_vars f in
+  let env =
+    List.fold_left
+      (fun m v -> Arith.Var.Map.add v (e value) m)
+      Arith.Var.Map.empty regs
+  in
+  Tir.Prim_func.create
+    ~sym_params:
+      (List.filter
+         (fun v -> not (List.exists (Arith.Var.equal v) regs))
+         f.Tir.Prim_func.sym_params)
+    ~num_outputs:f.Tir.Prim_func.num_outputs ~name:f.Tir.Prim_func.name
+    ~params:f.Tir.Prim_func.params
+    (Tir.Stmt.subst_vars env f.Tir.Prim_func.body)
+
+(* Every zoo decode kernel with a register-held variable keeps the
+   fused instructions of its constant lowering: nothing falls back to
+   the generic loop because an extent or a base became a register. *)
+let test_symbolic_fused_counts () =
+  let count p =
+    Array.fold_left
+      (fun (fl, fr) ins ->
+        match ins with
+        | Tir.Imp.Floop _ -> (fl + 1, fr)
+        | Tir.Imp.Frow _ -> (fl, fr + 1)
+        | _ -> (fl, fr))
+      (0, 0) p.Tir.Imp.code
+  in
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (cfg, precision) ->
+      let dec = Frontend.Llm.decode_paged cfg ~batch:1 precision in
+      let prog = compile_cpu dec in
+      List.iter
+        (fun (name, (f : Tir.Prim_func.t)) ->
+          if Tir.Imp_compile.register_vars f <> [] then begin
+            let shapes =
+              List.map
+                (fun (b : Tir.Buffer.t) ->
+                  Tir.Interp.eval_shape
+                    (fun v ->
+                      Alcotest.failf "%s: free %s" name (Arith.Var.name v))
+                    b.Tir.Buffer.shape)
+                f.Tir.Prim_func.params
+            in
+            let value = 5 in
+            let sym_args =
+              List.map (fun v -> (v, value)) f.Tir.Prim_func.sym_params
+            in
+            let symbolic = Tir.Imp_compile.lower ~sym_args f shapes in
+            let constant = Tir.Imp_compile.lower (specialise f value) shapes in
+            let fl, fr = count constant in
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "%s %s floop/frow" cfg.Frontend.Configs.name
+                 name)
+              (fl, fr) (count symbolic);
+            Hashtbl.replace seen f.Tir.Prim_func.name ()
+          end)
+        (Relax_core.Ir_module.tir_funcs prog.Runtime.Vm.mod_))
+    [ (Frontend.Configs.tiny, Frontend.Llm.F16);
+      (Frontend.Configs.tiny_gqa, Frontend.Llm.F16);
+      (Frontend.Configs.tiny_q, Frontend.Llm.Q4);
+      (Frontend.Configs.llama3_8b, Frontend.Llm.F16);
+      (Frontend.Configs.phi3_mini, Frontend.Llm.Q4) ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " checked") true (Hashtbl.mem seen name))
+    [ "fused_reshape_rope_q"; "fused_reshape_1_rope_k"; "kv_write";
+      "attention_paged" ]
+
+(* Register-held arguments do not loosen a signature: a symbolic
+   argument that contradicts an argument shape, a shape or a
+   specialised value other than the compiled one, and a missing
+   argument all still raise. *)
+let test_symbolic_inconsistent () =
+  let raises msg f =
+    match f () with
+    | () -> Alcotest.failf "%s: no error" msg
+    | exception Tir.Interp.Runtime_error _ -> ()
+  in
+  (* [n] is a symbolic argument and also a parameter dimension *)
+  let n = sym "n" in
+  let x = Tir.Buffer.create "X" [ Arith.Expr.var n ] f32 in
+  let y = Tir.Buffer.create "Y" [ Arith.Expr.var n ] f32 in
+  let i = sym "i" in
+  let ei = [ Arith.Expr.var i ] in
+  let k =
+    Tir.Prim_func.create ~sym_params:[ n ] ~name:"scale_n" ~params:[ x; y ]
+      (Tir.Stmt.for_ i (Arith.Expr.var n)
+         (Tir.Stmt.Store
+            ( y,
+              List.map Tir.Texpr.idx ei,
+              Tir.Texpr.(load x ei *. f 2.0) )))
+  in
+  Alcotest.(check int) "a parameter dimension stays specialised" 0
+    (List.length (Tir.Imp_compile.register_vars k));
+  let args () =
+    [ Base.Ndarray.random_uniform ~seed:4 f32 [| 4 |];
+      Base.Ndarray.create f32 [| 4 |] ]
+  in
+  List.iter
+    (fun backend ->
+      let cache = Tir.Exec.Cache.create backend in
+      Tir.Exec.Cache.run cache ~sym_args:[ (n, 4) ] k (args ());
+      raises
+        (Tir.Exec.backend_name backend ^ ": argument contradicts a shape")
+        (fun () -> Tir.Exec.Cache.run cache ~sym_args:[ (n, 5) ] k (args ())))
+    Tir.Exec.all;
+  let c =
+    Tir.Imp_compile.compile ~sym_args:[ (n, 4) ] k [ [| 4 |]; [| 4 |] ]
+  in
+  c [ (n, 4) ] (args ());
+  raises "specialised value changed since compilation" (fun () ->
+      c [ (n, 5) ] (args ()));
+  let pos = sym "pos" in
+  let rope =
+    Frontend.Attention.rope_decode ~name:"rope_q" ~batch:(e 1) ~heads:2
+      ~head_dim:4 ~pos f32
+  in
+  let rope_args d =
+    [ Base.Ndarray.random_uniform ~seed:2 f32 [| 1; 2; 1; d |];
+      Base.Ndarray.create f32 [| 1; 2; 1; d |] ]
+  in
+  let c =
+    Tir.Imp_compile.compile rope [ [| 1; 2; 1; 4 |]; [| 1; 2; 1; 4 |] ]
+  in
+  c [ (pos, 3) ] (rope_args 4);
+  raises "register argument missing" (fun () -> c [] (rope_args 4));
+  raises "shape changed since compilation" (fun () ->
+      c [ (pos, 3) ] (rope_args 8))
+
 (* ---------- @perf-smoke: imp must not lose to the walker ---------- *)
 
 let test_perf_smoke () =
@@ -976,5 +1303,16 @@ let () =
       ( "backend",
         [ Alcotest.test_case "selector round-trips through caches" `Quick
             test_backend_roundtrip ] );
+      ( "symbolic",
+        [ Alcotest.test_case "200 decode steps compile once" `Quick
+            test_symbolic_decode_steps;
+          Alcotest.test_case "strides and shapes stay specialised" `Quick
+            test_symbolic_specialised;
+          Alcotest.test_case "one program, many values" `Quick
+            test_symbolic_many_values;
+          Alcotest.test_case "fused instructions kept" `Quick
+            test_symbolic_fused_counts;
+          Alcotest.test_case "inconsistent bindings raise" `Quick
+            test_symbolic_inconsistent ] );
       ("perf_smoke", [ Alcotest.test_case "matmul" `Quick test_perf_smoke ])
     ]

@@ -612,13 +612,9 @@ let digest_run ?exec ?stop_at o w =
           (Runtime.Fault.kind_name kind)
     | _ -> ()
   in
-  (* A fresh model per scenario: a memoized step cost can depend on
-     which shapes its VM ran before, so a shared model would make each
-     digest depend on the scenarios run ahead of it. *)
-  let m =
-    Serve.Scheduler.model ~cfg:tiny ~precision:Frontend.Llm.F16 ~device
+  let res =
+    Serve.Scheduler.run ~trace:sink ?exec ?stop_at (Lazy.force model) o w
   in
-  let res = Serve.Scheduler.run ~trace:sink ?exec ?stop_at m o w in
   List.iter
     (fun (m : Serve.Metrics.request_metrics) ->
       Printf.bprintf b "done %d %h %h %h %d %d %d %d %s\n" m.Serve.Metrics.id
@@ -751,36 +747,68 @@ let digest_scenarios () =
             w );
     ]
 
-(* Recorded on the scheduler before its queue handling was reworked. *)
+(* Recorded on the scheduler before its queue handling was reworked;
+   re-recorded when memoized step costs stopped depending on the shapes
+   the cost model's VMs ran before (every %h time moved by an ulp or
+   so). *)
 let expected_digests =
   [
-    ("continuous/fcfs/clean/share-false", "b3d6f8c4752ac3e13a3aa195577a05e3");
-    ("continuous/fcfs/clean/share-true", "df9a4fad0bc770d7e0e0ed988c38388d");
-    ("continuous/fcfs/faults5/share-false", "0fec6a877942c588697fe3d4d4b23d0e");
-    ("continuous/fcfs/faults5/share-true", "715334a458c65ab5d8c5e387bd4aa65d");
-    ("continuous/deadline/clean/share-false", "1551eacad9d32044b4e5336b9757c153");
-    ("continuous/deadline/clean/share-true", "2e6cd3c2e25a76d8def2798e951c4376");
-    ("continuous/deadline/faults5/share-false", "2777f3781b77e6699252c15950cbd154");
-    ("continuous/deadline/faults5/share-true", "08fc9c86ddefddb49c53aa33272bc470");
-    ("static/fcfs/clean/share-false", "b0c5d7877b7be8a010b5bdee487f2218");
-    ("static/fcfs/clean/share-true", "6e42173373da5442052342205c6aa4d5");
-    ("static/fcfs/faults5/share-false", "813913f6ac0d0b1589de2d4c0ec81d72");
-    ("static/fcfs/faults5/share-true", "c55dd25115f04c9fbce8d7494b2260d3");
-    ("static/deadline/clean/share-false", "b0e7c8a23f4a6771d450889fada2256e");
-    ("static/deadline/clean/share-true", "e5d97412d867a4b7b70633f28a6a0ae2");
-    ("static/deadline/faults5/share-false", "d56b7965b9e9c666052768653fa5eee5");
-    ("static/deadline/faults5/share-true", "d544625f4b508a9fd6c8abeac9d66118");
-    ("best-of-n fork", "e166d5dd7f04792361ef06cc44e88e14");
-    ("kv-infeasible aborts/fcfs", "3b8a710df5341a91c5a6c980eaa79d43");
-    ("kv-infeasible aborts/deadline", "14e0ffa10df69f1761b31429da790460");
-    ("heavy faults/continuous", "c0a72ccff683df1668f590460dde10ce");
-    ("heavy faults/static", "419ac29120529047a51293818241d227");
-    ("tight budget preempts", "adf600c27d3ff977e58da2a9faa06855");
-    ("slowdown window", "b26004ac3730c847052edd6da0175da0");
-    ("outage window", "0493cc11ada545bb25ef0f7a1b9dd2cc");
-    ("stop_at drain", "49b6976dd9c69fa53f0e08240f025f98");
-    ("numeric", "5b3659720cee8662d41b0cbe399aef21");
+    ("continuous/fcfs/clean/share-false", "92098e3f09dbb580b42efc58fec4d777");
+    ("continuous/fcfs/clean/share-true", "285381088cc1507a29f75aa6cdb8435a");
+    ("continuous/fcfs/faults5/share-false", "094c780a07240e241e6349f9a3822be4");
+    ("continuous/fcfs/faults5/share-true", "55e5829d14f38da29055475b870678dd");
+    ("continuous/deadline/clean/share-false", "32fde7af165de0460eb7c4ed414ddb4c");
+    ("continuous/deadline/clean/share-true", "8dfeff21d71cd4c5efa2d97be5dbfb70");
+    ("continuous/deadline/faults5/share-false", "d2c8c41ee4ebad92c44ff1cd580eb7a1");
+    ("continuous/deadline/faults5/share-true", "8a0b194d0008a05c40eaff9ff2c5970b");
+    ("static/fcfs/clean/share-false", "3765f98d1918c67831542be7f377d3f9");
+    ("static/fcfs/clean/share-true", "2d40f70de679a09a06af6f5152cbe853");
+    ("static/fcfs/faults5/share-false", "befd00a5728b7a41e441dfadd2e901dc");
+    ("static/fcfs/faults5/share-true", "3c87eb931223366bd99cd42884075d33");
+    ("static/deadline/clean/share-false", "3a3c85c6ed81e7f912af1a0e56bf20e6");
+    ("static/deadline/clean/share-true", "630f4ab67d2e2df33896333e031afd26");
+    ("static/deadline/faults5/share-false", "22335fada6eb887ceb9efb70a303393d");
+    ("static/deadline/faults5/share-true", "f1bafaceedb681abc1c090aedacbadbd");
+    ("best-of-n fork", "75a6760e4f848a4409ae661e09907bfb");
+    ("kv-infeasible aborts/fcfs", "6fb3c5fafc941743d8ca0ccd8e0f9598");
+    ("kv-infeasible aborts/deadline", "eb01d49b2051a285663e3ee353331cce");
+    ("heavy faults/continuous", "0b47cff1f01eef0f2c1956c1ce5b7d1f");
+    ("heavy faults/static", "1e246338f27fcd563c5241c6d056dad0");
+    ("tight budget preempts", "db9cbf9ea4e992363db2d781f4a9f0da");
+    ("slowdown window", "558f9fba97d8a9dbf5770af8671379c2");
+    ("outage window", "fb4a3b8070f8d47feefad96160afd8cd");
+    ("stop_at drain", "820760fa3034731ff0b8f15cdecf6dfd");
+    ("numeric", "25c5d9538bd7d23dc7fbd0bb5d0f2650");
   ]
+
+(* A memoized step cost is one run's charges summed from zero, so a
+   request's estimate has the same bits whatever shapes the model's
+   VMs ran before: first on a fresh model, after a longer request, and
+   on the model every test shares. *)
+let test_cost_order_independent () =
+  let req prompt_len output_len =
+    {
+      Serve.Workload.id = 0;
+      arrival_us = 0.0;
+      prompt_len;
+      output_len;
+      deadline_us = None;
+      prompt_tokens = None;
+      fork_of = None;
+    }
+  in
+  let est m r =
+    Printf.sprintf "%h" (Serve.Scheduler.estimate_request_us m ~block_size:4 r)
+  in
+  let fresh () =
+    Serve.Scheduler.model ~cfg:tiny ~precision:Frontend.Llm.F16 ~device
+  in
+  let first = est (fresh ()) (req 4 4) in
+  let m = fresh () in
+  ignore (est m (req 12 4));
+  Alcotest.(check string) "after a 12+4 request" first (est m (req 4 4));
+  Alcotest.(check string) "on the shared model" first
+    (est (Lazy.force model) (req 4 4))
 
 let test_digests () =
   let actual =
@@ -807,6 +835,8 @@ let () =
           Alcotest.test_case "workload reproducible" `Quick
             test_workload_reproducible;
           Alcotest.test_case "behaviour digests" `Quick test_digests;
+          Alcotest.test_case "step costs independent of run order" `Quick
+            test_cost_order_independent;
         ] );
       ( "invariants",
         List.map QCheck_alcotest.to_alcotest
