@@ -6,6 +6,8 @@
    One experiment:        dune exec bench/main.exe -- --only fig14
    List experiments:      dune exec bench/main.exe -- --list
    JSON output dir:       dune exec bench/main.exe -- --only kernels --out results/
+   (kernels, serving, chaos, kvshare, cluster and failover each write
+   BENCH_<id>.json, built as one Base.Json value, via [write_json])
 
    Absolute numbers come from the roofline device models (DESIGN.md
    §1); the claims under reproduction are the *shapes*: who wins,
@@ -18,15 +20,62 @@ let section title =
 let tok_per_s us = 1_000_000.0 /. us
 let ms us = us /. 1000.0
 
-(* Experiments that emit machine-readable JSON (kernels, serving)
-   write into this directory; --out DIR redirects them, creating DIR
-   if needed. *)
+(* The BENCH_*.json files go here. --out DIR redirects them, creating
+   DIR and its parents when the flag is parsed, before any run. *)
 let out_dir = ref "."
 
-let out_file name =
-  if !out_dir <> "." && not (Sys.file_exists !out_dir) then
-    Sys.mkdir !out_dir 0o755;
-  Filename.concat !out_dir name
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then (
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755)
+
+let write_json name value =
+  let path = Filename.concat !out_dir name in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Base.Json.to_string value ^ "\n"));
+  Printf.printf "\n  wrote %s\n" path
+
+(* JSON builders: [num d x] prints [x] with [d] decimals; [xs |>
+   objects f] is the array of objects with members [f x]. The writers
+   lay values out as the files print them, siblings side by side. *)
+let num d x = Base.Json.Float (d, x)
+
+let objects f xs =
+  Base.Json.List (List.map (fun x -> Base.Json.Object (f x)) xs)
+
+let serve_header benchmark (cfg : Frontend.Configs.t)
+    (device : Runtime.Device.t) =
+  Base.Json.
+    [ ("benchmark", String benchmark); ("model", String cfg.name);
+      ("device", String device.name); ("precision", String "F16") ]
+
+(* The Serve.Metrics.summary fields the serve-side files report, each
+   at its one precision; [summary_members s names] picks [names] in
+   order. *)
+let summary_members (s : Serve.Metrics.summary) names =
+  let open Serve.Metrics in
+  let all =
+    Base.Json.
+      [ ("tokens_per_s", num 1 s.tokens_per_s);
+        ("goodput_tokens_per_s", num 1 s.goodput_tokens_per_s);
+        ("slo_attainment", num 3 s.slo_attainment);
+        ("ttft_p50_ms", num 2 (ms s.ttft_us.p50));
+        ("ttft_p95_ms", num 2 (ms s.ttft_us.p95));
+        ("per_token_p50_ms", num 3 (ms s.per_token_us.p50));
+        ("e2e_p95_ms", num 2 (ms s.e2e_us.p95));
+        ("occupancy", num 3 s.occupancy);
+        ("prefix_hit_rate", num 3 s.prefix_hit_rate);
+        ("kv_bytes_per_token", num 2 s.kv_bytes_per_token);
+        ("replica_downtime_ms", num 1 (s.replica_downtime_us /. 1e3));
+        ("makespan_ms", num 1 (ms s.makespan_us));
+        ("cow_copies", Int s.cow_copies); ("preemptions", Int s.preemptions);
+        ("completed", Int s.completed); ("submitted", Int s.submitted);
+        ("shed", Int s.shed); ("timeouts", Int s.timeouts);
+        ("aborted", Int s.aborted); ("retries", Int s.retries);
+        ("faults", Int s.faults); ("failovers", Int s.failovers);
+        ("migrations", Int s.migrations) ]
+  in
+  List.map (fun name -> (name, List.assoc name all)) names
 
 (* ---------- shared measurement helpers ---------- *)
 
@@ -695,25 +744,19 @@ let kernels_bench () =
         Printf.printf "  %-10s %-12s %12.0f %12.0f %12.0f %7.1fx %6s\n"
           kernel size interp_ns imp_ns imp_checked_ns speedup
           (if elide then "on" else "off");
-        (kernel, size, interp_ns, imp_ns, imp_checked_ns, speedup, elide))
+        Base.Json.(
+          Object
+            [ ("kernel", String kernel); ("size", String size);
+              ("interp_ns", num 1 interp_ns); ("imp_ns", num 1 imp_ns);
+              ("imp_checked_ns", num 1 imp_checked_ns);
+              ("speedup", num 2 speedup); ("elide_bounds", Bool elide) ]))
       cases
   in
-  let path = out_file "BENCH_kernels.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"tir_kernel_execution\",\n  \"units\": \"ns_per_run\",\n  \"results\": [\n";
-  List.iteri
-    (fun i (kernel, size, interp_ns, imp_ns, imp_checked_ns, speedup, elide) ->
-      Printf.fprintf oc
-        "    { \"kernel\": %S, \"size\": %S, \"interp_ns\": %.1f, \
-         \"imp_ns\": %.1f, \"imp_checked_ns\": %.1f, \"speedup\": %.2f, \
-         \"elide_bounds\": %b }%s\n"
-        kernel size interp_ns imp_ns imp_checked_ns speedup elide
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote %s\n" path
+  write_json "BENCH_kernels.json"
+    Base.Json.(
+      Object
+        [ ("benchmark", String "tir_kernel_execution");
+          ("units", String "ns_per_run"); ("results", List rows) ])
 
 (* ---------- serving: continuous vs static batching ---------- *)
 
@@ -799,46 +842,21 @@ let serving () =
         (if c.Serve.Metrics.tokens_per_s > s.Serve.Metrics.tokens_per_s then ""
          else "  ** EXPECTED CONTINUOUS TO WIN **"))
     [ 8; 32 ];
-  let path = out_file "BENCH_serving.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"serving_continuous_batching\",\n\
-    \  \"model\": %S,\n\
-    \  \"device\": %S,\n\
-    \  \"precision\": \"F16\",\n\
-    \  \"workload\": { \"seed\": 42, \"num_requests\": 60, \"prompt\": [64, \
-     192], \"output\": [32, 96] },\n\
-    \  \"curves\": [\n"
-    cfg.Frontend.Configs.name device.Runtime.Device.name;
-  List.iteri
-    (fun ci (policy, max_batch, points) ->
-      Printf.fprintf oc
-        "    { \"policy\": %S, \"max_batch\": %d, \"points\": [\n"
-        (policy_name policy) max_batch;
-      List.iteri
-        (fun pi (rate, (s : Serve.Metrics.summary)) ->
-          Printf.fprintf oc
-            "      { \"rate_per_s\": %.1f, \"tokens_per_s\": %.1f, \
-             \"ttft_p50_ms\": %.2f, \"ttft_p95_ms\": %.2f, \
-             \"per_token_p50_ms\": %.3f, \"e2e_p95_ms\": %.2f, \
-             \"occupancy\": %.3f, \"preemptions\": %d, \"completed\": %d }%s\n"
-            rate s.Serve.Metrics.tokens_per_s
-            (ms s.Serve.Metrics.ttft_us.Serve.Metrics.p50)
-            (ms s.Serve.Metrics.ttft_us.Serve.Metrics.p95)
-            (ms s.Serve.Metrics.per_token_us.Serve.Metrics.p50)
-            (ms s.Serve.Metrics.e2e_us.Serve.Metrics.p95)
-            s.Serve.Metrics.occupancy s.Serve.Metrics.preemptions
-            s.Serve.Metrics.completed
-            (if pi = List.length points - 1 then "" else ","))
-        points;
-      Printf.fprintf oc "    ] }%s\n"
-        (if ci = List.length curves - 1 then "" else ",")
-    )
-    curves;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\n  wrote %s\n" path
+  write_json "BENCH_serving.json"
+    Base.Json.(
+      Object
+        (serve_header "serving_continuous_batching" cfg device
+        @ [ ("workload", Object [ ("seed", Int 42); ("num_requests", Int 60);
+              ("prompt", List [ Int 64; Int 192 ]);
+              ("output", List [ Int 32; Int 96 ]) ]);
+            ("curves", curves |> objects (fun (policy, max_batch, points) ->
+              [ ("policy", String (policy_name policy));
+                ("max_batch", Int max_batch);
+                ("points", points |> objects (fun (rate, s) ->
+                  ("rate_per_s", num 1 rate) :: summary_members s
+                    [ "tokens_per_s"; "ttft_p50_ms"; "ttft_p95_ms";
+                      "per_token_p50_ms"; "e2e_p95_ms"; "occupancy";
+                      "preemptions"; "completed" ])) ])) ]))
 
 (* ---------- chaos: fault injection x scheduling policy ---------- *)
 
@@ -984,49 +1002,24 @@ let chaos () =
         (f *. 100.0)
         (if d > f then "" else "  ** EXPECTED DEADLINE-AWARE TO WIN **"))
     fault_rates;
-  let path = out_file "BENCH_chaos.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"chaos_fault_injection\",\n\
-    \  \"model\": %S,\n\
-    \  \"device\": %S,\n\
-    \  \"precision\": \"F16\",\n\
-    \  \"capacity_rps\": %.2f,\n\
-    \  \"overload_rate_per_s\": %.2f,\n\
-    \  \"deadline_slack_ms\": %.2f,\n\
-    \  \"workload\": { \"seed\": 7, \"num_requests\": 50, \"prompt\": [64, \
-     192], \"output\": [32, 96] },\n\
-    \  \"fault_seed\": 1234,\n\
-    \  \"curves\": [\n"
-    cfg.Frontend.Configs.name device.Runtime.Device.name capacity_rps
-    overload_rate (ms slack_us);
-  List.iteri
-    (fun ci (aname, points) ->
-      Printf.fprintf oc "    { \"admission\": %S, \"points\": [\n" aname;
-      List.iteri
-        (fun pi (rate, (s : Serve.Metrics.summary)) ->
-          Printf.fprintf oc
-            "      { \"fault_rate\": %.2f, \"goodput_tokens_per_s\": %.1f, \
-             \"slo_attainment\": %.3f, \"tokens_per_s\": %.1f, \
-             \"completed\": %d, \"submitted\": %d, \"shed\": %d, \
-             \"timeouts\": %d, \"aborted\": %d, \"retries\": %d, \
-             \"faults\": %d, \"makespan_ms\": %.1f }%s\n"
-            rate s.Serve.Metrics.goodput_tokens_per_s
-            s.Serve.Metrics.slo_attainment s.Serve.Metrics.tokens_per_s
-            s.Serve.Metrics.completed s.Serve.Metrics.submitted
-            s.Serve.Metrics.shed s.Serve.Metrics.timeouts
-            s.Serve.Metrics.aborted s.Serve.Metrics.retries
-            s.Serve.Metrics.faults
-            (ms s.Serve.Metrics.makespan_us)
-            (if pi = List.length points - 1 then "" else ","))
-        points;
-      Printf.fprintf oc "    ] }%s\n"
-        (if ci = List.length grid - 1 then "" else ","))
-    grid;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\n  wrote %s\n" path
+  write_json "BENCH_chaos.json"
+    Base.Json.(
+      Object
+        (serve_header "chaos_fault_injection" cfg device
+        @ [ ("capacity_rps", num 2 capacity_rps);
+            ("overload_rate_per_s", num 2 overload_rate);
+            ("deadline_slack_ms", num 2 (ms slack_us));
+            ("workload", Object [ ("seed", Int 7); ("num_requests", Int 50);
+              ("prompt", List [ Int 64; Int 192 ]);
+              ("output", List [ Int 32; Int 96 ]) ]);
+            ("fault_seed", Int 1234);
+            ("curves", grid |> objects (fun (aname, points) ->
+              [ ("admission", String aname);
+                ("points", points |> objects (fun (rate, s) ->
+                  ("fault_rate", num 2 rate) :: summary_members s
+                    [ "goodput_tokens_per_s"; "slo_attainment"; "tokens_per_s";
+                      "completed"; "submitted"; "shed"; "timeouts"; "aborted";
+                      "retries"; "faults"; "makespan_ms" ])) ])) ]))
 
 (* ---------- kvshare: cross-request KV prefix sharing ---------- *)
 
@@ -1124,52 +1117,24 @@ let kvshare () =
          then ""
          else "  ** EXPECTED SHARING TO SAVE MEMORY **"))
     results;
-  let path = out_file "BENCH_kvshare.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"kv_prefix_sharing\",\n\
-    \  \"model\": %S,\n\
-    \  \"device\": %S,\n\
-    \  \"precision\": \"F16\",\n\
-    \  \"block_size\": %d,\n\
-    \  \"block_bytes\": %d,\n\
-    \  \"kv_budget_blocks\": %d,\n\
-    \  \"workload\": { \"kind\": \"multi_turn_chat\", \"seed\": 42, \
-     \"sessions\": 12, \"turns\": 4, \"system_len\": 256, \"turn_user\": \
-     [16, 48], \"output\": [32, 96] },\n\
-    \  \"curves\": [\n"
-    cfg.Frontend.Configs.name device.Runtime.Device.name block_size block_bytes
-    budget_blocks;
-  List.iteri
-    (fun ci (srate, rps, runs) ->
-      Printf.fprintf oc
-        "    { \"sessions_per_s\": %.1f, \"offered_req_per_s\": %.2f, \
-         \"points\": [\n"
-        srate rps;
-      List.iteri
-        (fun pi (share, (s : Serve.Metrics.summary)) ->
-          Printf.fprintf oc
-            "      { \"sharing\": %b, \"kv_bytes_per_token\": %.2f, \
-             \"prefix_hit_rate\": %.3f, \"cow_copies\": %d, \
-             \"tokens_per_s\": %.1f, \"ttft_p50_ms\": %.2f, \"e2e_p95_ms\": \
-             %.2f, \"preemptions\": %d, \"completed\": %d, \"makespan_ms\": \
-             %.1f }%s\n"
-            share s.Serve.Metrics.kv_bytes_per_token
-            s.Serve.Metrics.prefix_hit_rate s.Serve.Metrics.cow_copies
-            s.Serve.Metrics.tokens_per_s
-            (ms s.Serve.Metrics.ttft_us.Serve.Metrics.p50)
-            (ms s.Serve.Metrics.e2e_us.Serve.Metrics.p95)
-            s.Serve.Metrics.preemptions s.Serve.Metrics.completed
-            (ms s.Serve.Metrics.makespan_us)
-            (if pi = List.length runs - 1 then "" else ","))
-        runs;
-      Printf.fprintf oc "    ] }%s\n"
-        (if ci = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\n  wrote %s\n" path
+  write_json "BENCH_kvshare.json"
+    Base.Json.(
+      Object
+        (serve_header "kv_prefix_sharing" cfg device
+        @ [ ("block_size", Int block_size); ("block_bytes", Int block_bytes);
+            ("kv_budget_blocks", Int budget_blocks);
+            ("workload", Object [ ("kind", String "multi_turn_chat");
+              ("seed", Int 42); ("sessions", Int 12); ("turns", Int 4);
+              ("system_len", Int 256); ("turn_user", List [ Int 16; Int 48 ]);
+              ("output", List [ Int 32; Int 96 ]) ]);
+            ("curves", results |> objects (fun (srate, rps, runs) ->
+              [ ("sessions_per_s", num 1 srate);
+                ("offered_req_per_s", num 2 rps);
+                ("points", runs |> objects (fun (share, s) ->
+                  ("sharing", Bool share) :: summary_members s
+                    [ "kv_bytes_per_token"; "prefix_hit_rate"; "cow_copies";
+                      "tokens_per_s"; "ttft_p50_ms"; "e2e_p95_ms";
+                      "preemptions"; "completed"; "makespan_ms" ])) ])) ]))
 
 (* ---------- cluster: replicated serving + tensor parallelism ---------- *)
 
@@ -1306,68 +1271,38 @@ let cluster () =
         (100.0 *. r.Dist.Tp.comm_us /. r.Dist.Tp.parallel_us)
         (base_us /. r.Dist.Tp.parallel_us))
     sweep;
-  let path = out_file "BENCH_cluster.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"cluster\",\n\
-    \  \"model\": %S,\n\
-    \  \"device\": %S,\n\
-    \  \"precision\": \"F16\",\n\
-    \  \"interconnect\": %S,\n\
-    \  \"replica_scaling\": { \"rate_req_per_s\": %.1f, \"route\": \
-     \"round-robin\", \"points\": [\n"
-    cfg.Frontend.Configs.name device.Runtime.Device.name
-    device.Runtime.Device.link.Runtime.Device.link_name rate;
-  List.iteri
-    (fun i (m, (s : Serve.Metrics.summary)) ->
-      Printf.fprintf oc
-        "    { \"replicas\": %d, \"tokens_per_s\": %.1f, \
-         \"goodput_tokens_per_s\": %.1f, \"ttft_p50_ms\": %.2f, \
-         \"makespan_ms\": %.1f, \"completed\": %d, \"speedup_vs_1\": %.3f }%s\n"
-        m s.Serve.Metrics.tokens_per_s s.Serve.Metrics.goodput_tokens_per_s
-        (ms s.Serve.Metrics.ttft_us.Serve.Metrics.p50)
-        (ms s.Serve.Metrics.makespan_us)
-        s.Serve.Metrics.completed
-        (s.Serve.Metrics.tokens_per_s /. base_tps)
-        (if i = List.length scaling - 1 then "" else ","))
-    scaling;
-  Printf.fprintf oc
-    "  ] },\n\
-    \  \"routing\": { \"replicas\": %d, \"workload\": \"multi_turn_chat\", \
-     \"kv_share\": true, \"prefix_prefill_discount\": true, \
-     \"affinity_window\": 128, \"points\": [\n"
-    replicas;
-  List.iteri
-    (fun i (route, (s : Serve.Metrics.summary)) ->
-      Printf.fprintf oc
-        "    { \"route\": %S, \"ttft_p50_ms\": %.2f, \"ttft_p95_ms\": %.2f, \
-         \"prefix_hit_rate\": %.3f, \"tokens_per_s\": %.1f, \"completed\": \
-         %d }%s\n"
-        (Dist.Cluster.route_name route)
-        (ms s.Serve.Metrics.ttft_us.Serve.Metrics.p50)
-        (ms s.Serve.Metrics.ttft_us.Serve.Metrics.p95)
-        s.Serve.Metrics.prefix_hit_rate s.Serve.Metrics.tokens_per_s
-        s.Serve.Metrics.completed
-        (if i = List.length routing - 1 then "" else ","))
-    routing;
-  Printf.fprintf oc
-    "  ] },\n\
-    \  \"tp_sweep\": { \"ctx\": %d, \"strategy\": \"gather\", \"points\": [\n"
-    ctx;
-  List.iteri
-    (fun i (r : Dist.Tp.step_report) ->
-      Printf.fprintf oc
-        "    { \"tp\": %d, \"parallel_us\": %.1f, \"serial_us\": %.1f, \
-         \"comm_us\": %.1f, \"collectives\": %d, \"speedup_vs_tp1\": %.3f }%s\n"
-        r.Dist.Tp.tp r.Dist.Tp.parallel_us r.Dist.Tp.serial_us
-        r.Dist.Tp.comm_us r.Dist.Tp.collectives
-        (base_us /. r.Dist.Tp.parallel_us)
-        (if i = List.length sweep - 1 then "" else ","))
-    sweep;
-  Printf.fprintf oc "  ] }\n}\n";
-  close_out oc;
-  Printf.printf "\n  wrote %s\n" path
+  write_json "BENCH_cluster.json"
+    Base.Json.(
+      Object
+        (serve_header "cluster" cfg device
+        @ [ ("interconnect",
+             String device.Runtime.Device.link.Runtime.Device.link_name);
+            ("replica_scaling", Object [ ("rate_req_per_s", num 1 rate);
+              ("route", String "round-robin");
+              ("points", scaling |> objects (fun (m, s) ->
+                (("replicas", Int m) :: summary_members s
+                  [ "tokens_per_s"; "goodput_tokens_per_s"; "ttft_p50_ms";
+                    "makespan_ms"; "completed" ])
+                @ [ ("speedup_vs_1",
+                     num 3 (s.Serve.Metrics.tokens_per_s /. base_tps)) ])) ]);
+            ("routing", Object [ ("replicas", Int replicas);
+              ("workload", String "multi_turn_chat"); ("kv_share", Bool true);
+              ("prefix_prefill_discount", Bool true);
+              ("affinity_window", Int 128);
+              ("points", routing |> objects (fun (route, s) ->
+                ("route", String (Dist.Cluster.route_name route))
+                :: summary_members s
+                  [ "ttft_p50_ms"; "ttft_p95_ms"; "prefix_hit_rate";
+                    "tokens_per_s"; "completed" ])) ]);
+            ("tp_sweep", Object [ ("ctx", Int ctx); ("strategy", String "gather");
+              ("points", sweep |> objects (fun (r : Dist.Tp.step_report) ->
+                [ ("tp", Int r.Dist.Tp.tp);
+                  ("parallel_us", num 1 r.Dist.Tp.parallel_us);
+                  ("serial_us", num 1 r.Dist.Tp.serial_us);
+                  ("comm_us", num 1 r.Dist.Tp.comm_us);
+                  ("collectives", Int r.Dist.Tp.collectives);
+                  ("speedup_vs_tp1", num 3 (base_us /. r.Dist.Tp.parallel_us))
+                ])) ]) ]))
 
 (* ---------- failover: cluster fault tolerance ---------- *)
 
@@ -1541,49 +1476,32 @@ let failover () =
     lost_aware dups
     (if lost_aware = 0 && dups = 0 then ""
      else "  ** EXPECTED ZERO LOST / DUPLICATED **");
-  let path = out_file "BENCH_failover.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"failover\",\n\
-    \  \"model\": %S,\n\
-    \  \"device\": %S,\n\
-    \  \"replicas\": %d,\n\
-    \  \"route\": \"prefix-affinity\",\n\
-    \  \"requests\": %d,\n\
-    \  \"deadline_slack_ms\": %.0f,\n\
-    \  \"victim_replica\": %d,\n\
-    \  \"victim_share\": %.3f,\n\
-    \  \"crash_window_s\": [%.3f, %.3f],\n\
-    \  \"runs\": [\n"
-    cfg.Frontend.Configs.name device.Runtime.Device.name replicas n
-    (slack_us /. 1e3) victim
-    (float_of_int share.(victim) /. float_of_int n)
-    (crash_from /. 1e6) (crash_until /. 1e6);
-  List.iteri
-    (fun i (label, ((s : Serve.Metrics.summary), lost, pre, fault, post)) ->
-      Printf.fprintf oc
-        "    { \"run\": %S, \"goodput_tokens_per_s\": %.1f, \
-         \"window_goodput_tokens_per_s\": { \"pre\": %.1f, \"fault\": %.1f, \
-         \"post\": %.1f }, \"slo_attainment\": %.3f, \"completed\": %d, \
-         \"lost\": %d, \"failovers\": %d, \"migrations\": %d, \
-         \"replica_downtime_ms\": %.1f, \"makespan_ms\": %.1f }%s\n"
-        label s.Serve.Metrics.goodput_tokens_per_s pre fault post
-        s.Serve.Metrics.slo_attainment s.Serve.Metrics.completed lost
-        s.Serve.Metrics.failovers s.Serve.Metrics.migrations
-        (s.Serve.Metrics.replica_downtime_us /. 1e3)
-        (ms s.Serve.Metrics.makespan_us)
-        (if i = List.length stats - 1 then "" else ","))
-    stats;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"fault_window_ratio_vs_naive\": %.3f,\n\
-    \  \"post_recovery_ratio_vs_fault_free\": %.3f\n\
-     }\n"
-    (fault_aware /. Float.max 1.0 fault_naive)
-    (post_aware /. Float.max 1.0 post_free);
-  close_out oc;
-  Printf.printf "\n  wrote %s\n" path
+  write_json "BENCH_failover.json"
+    Base.Json.(
+      Object
+        [ ("benchmark", String "failover");
+          ("model", String cfg.Frontend.Configs.name);
+          ("device", String device.Runtime.Device.name);
+          ("replicas", Int replicas); ("route", String "prefix-affinity");
+          ("requests", Int n); ("deadline_slack_ms", num 0 (slack_us /. 1e3));
+          ("victim_replica", Int victim);
+          ("victim_share",
+           num 3 (float_of_int share.(victim) /. float_of_int n));
+          ("crash_window_s",
+           List [ num 3 (crash_from /. 1e6); num 3 (crash_until /. 1e6) ]);
+          ("runs", stats |> objects (fun (label, (s, lost, pre, fault, post)) ->
+            (("run", String label)
+             :: summary_members s [ "goodput_tokens_per_s" ])
+            @ [ ("window_goodput_tokens_per_s", Object [ ("pre", num 1 pre);
+                  ("fault", num 1 fault); ("post", num 1 post) ]) ]
+            @ summary_members s [ "slo_attainment"; "completed" ]
+            @ (("lost", Int lost) :: summary_members s
+                 [ "failovers"; "migrations"; "replica_downtime_ms";
+                   "makespan_ms" ])));
+          ("fault_window_ratio_vs_naive",
+           num 3 (fault_aware /. Float.max 1.0 fault_naive));
+          ("post_recovery_ratio_vs_fault_free",
+           num 3 (post_aware /. Float.max 1.0 post_free)) ])
 
 (* ---------- registry ---------- *)
 
@@ -1630,7 +1548,7 @@ let usage () =
     "usage: bench [--list] [--only EXPERIMENT] [--out DIR]\n\
     \  --list        list experiments and exit\n\
     \  --only ID     run one experiment instead of all\n\
-    \  --out DIR     write JSON outputs under DIR (created if missing)";
+    \  --out DIR     write JSON outputs under DIR (created with its parents)";
   exit 1
 
 let () =
@@ -1640,7 +1558,7 @@ let () =
     | [] -> ()
     | "--list" :: rest -> list := true; parse rest
     | "--only" :: id :: rest -> only := Some id; parse rest
-    | "--out" :: dir :: rest -> out_dir := dir; parse rest
+    | "--out" :: dir :: rest -> mkdir_p dir; out_dir := dir; parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));

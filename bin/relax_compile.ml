@@ -527,9 +527,10 @@ let run model_name device_name batch ctx quant backend_name dump_ir no_fusion
       | Some budget_ulps ->
           Some { Analysis.Fp.default_opts with Analysis.Fp.budget_ulps }
     in
-    let failed = ref false in
+    (* --json prints every check's diagnostics as one document. *)
+    let failed = ref false and collected = ref [] in
     let emit title diags =
-      if json then print_endline (Analysis.Diag.render_json diags)
+      if json then collected := !collected @ diags
       else if diags = [] then Printf.printf "%s: clean\n" title
       else begin
         Printf.printf "%s:\n" title;
@@ -556,6 +557,7 @@ let run model_name device_name batch ctx quant backend_name dump_ir no_fusion
       emit "verify-passes (diagnostics introduced by pipeline stages)"
         stage_diags
     end;
+    if json then print_endline (Analysis.Diag.render_json !collected);
     exit (if !failed then 1 else 0)
   end;
   let program = Relax_passes.To_vm.compile lowered in
@@ -681,10 +683,10 @@ let json =
     value & flag
     & info [ "json" ]
         ~doc:
-          "With $(b,--lint)/$(b,--verify-passes): print diagnostics as a \
-           versioned JSON object instead of pretty text (see \
-           Analysis.Diag.render_json for the schema and the exit-code \
-           contract).")
+          "With $(b,--lint)/$(b,--verify-passes): print the diagnostics \
+           of every check that ran as one versioned JSON object instead \
+           of pretty text (see Analysis.Diag.render_json for the schema \
+           and the exit-code contract).")
 
 let fp_budget =
   Arg.(

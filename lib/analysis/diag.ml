@@ -36,34 +36,6 @@ let to_string t =
     | Some p -> Printf.sprintf " (introduced by %s)" p
     | None -> "")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json t =
-  let q s = "\"" ^ json_escape s ^ "\"" in
-  Printf.sprintf
-    "{\"severity\": %s, \"code\": %s, \"func\": %s, \"path\": [%s], \
-     \"message\": %s, \"pass\": %s, \"data\": {%s}}"
-    (q (severity_to_string t.severity))
-    (q t.code) (q t.func)
-    (String.concat ", " (List.map q t.path))
-    (q t.message)
-    (match t.pass with Some p -> q p | None -> "null")
-    (String.concat ", "
-       (List.map (fun (k, v) -> Printf.sprintf "%s: %s" (q k) (q v)) t.data))
-
 let sorted ts =
   List.stable_sort
     (fun a b ->
@@ -82,9 +54,19 @@ let render ts = String.concat "\n" (List.map to_string (sorted ts))
 let schema_version = 2
 
 let render_json ts =
-  Printf.sprintf "{\"schema_version\": %d,\n \"diagnostics\": [%s]}"
-    schema_version
-    (String.concat ",\n  " (List.map to_json (sorted ts)))
+  let str s = Base.Json.String s in
+  let diag t =
+    Base.Json.Object
+      [ ("severity", str (severity_to_string t.severity));
+        ("code", str t.code); ("func", str t.func);
+        ("path", List (List.map str t.path)); ("message", str t.message);
+        ("pass", match t.pass with Some p -> str p | None -> Null);
+        ("data", Object (List.map (fun (k, v) -> (k, str v)) t.data)) ]
+  in
+  Base.Json.to_string
+    (Object
+       [ ("schema_version", Int schema_version);
+         ("diagnostics", List (List.map diag (sorted ts))) ])
 
 let dedup ts =
   let seen = Hashtbl.create 16 in

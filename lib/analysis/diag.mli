@@ -67,9 +67,6 @@ val to_string : t -> string
 (** One-line pretty rendering:
     [error[oob-store] softmax @ i0/store Y: message (introduced by X)]. *)
 
-val to_json : t -> string
-(** Machine-readable rendering as a single JSON object. *)
-
 val render : t list -> string
 (** Pretty rendering of a list, one diagnostic per line, errors
     first. *)
@@ -79,9 +76,19 @@ val schema_version : int
     whenever the object shape changes. *)
 
 val render_json : t list -> string
-(** Versioned JSON object
-    [{"schema_version": n, "diagnostics": [...]}] wrapping the
-    {!to_json} objects, errors first.
+(** Versioned JSON object, errors first, printed by {!Base.Json}:
+{v
+{
+  "schema_version": 2,
+  "diagnostics": [
+    { "severity": "error", "code": "oob-store", "func": "softmax", "path": ["i0", "store Y"], "message": "...", "pass": "fuse", "data": {} }
+  ]
+}
+v}
+    One diagnostic object per line; ["pass"] is [null] when
+    unattributed. A driver renders every check it ran as one document:
+    [--lint --verify-passes --json] holds the lint diagnostics, any
+    error already in the input module, then each stage's new ones.
 
     Exit-code contract for drivers consuming this (the single source
     of truth, mirrored by [bin/relax_compile.ml --json]): exit 0 when

@@ -481,6 +481,88 @@ let test_diag_rendering () =
   Alcotest.(check int) "tally counts" 2 (List.assoc d.D.key t);
   Alcotest.(check int) "dedup" 2 (List.length (D.dedup [ d; d; w ]))
 
+(* --- the JSON emitter: one layout for every document ---------------- *)
+
+let test_json_layout () =
+  let module J = Base.Json in
+  let check name expected v =
+    Alcotest.(check string) name expected (J.to_string v)
+  in
+  check "null" "null" J.Null;
+  check "bool" "true" (J.Bool true);
+  check "int" "-3" (J.Int (-3));
+  check "float, fixed decimals" "3.14" (J.Float (2, 3.14159));
+  check "float, padded decimals" "0.500" (J.Float (3, 0.5));
+  check "float, no decimals" "500" (J.Float (0, 500.0));
+  check "nan is null" "null" (J.Float (1, Float.nan));
+  check "infinity is null" "null" (J.Float (1, Float.infinity));
+  check "string" {|"abc"|} (J.String "abc");
+  check "escapes" {|"q\"b\\n\nt\tc\u0001"|} (J.String "q\"b\\n\nt\tc\001");
+  check "empty list" "[]" (J.List []);
+  check "empty object" "{}" (J.Object []);
+  check "scalar list inline" "[1, 2.0, \"x\"]"
+    (J.List [ J.Int 1; J.Float (1, 2.0); J.String "x" ]);
+  check "mixed list inline" "[1, {}]" (J.List [ J.Int 1; J.Object [] ]);
+  check "top-level object, one member per line"
+    {|{
+  "l": [],
+  "o": {},
+  "inline": { "x": 1, "y": [1, 2] }
+}|}
+    (J.Object
+       [ ("l", J.List []);
+         ("o", J.Object []);
+         ("inline", J.Object [ ("x", J.Int 1); ("y", J.List [ J.Int 1; J.Int 2 ]) ])
+       ]);
+  let row v = J.Object [ ("v", J.Int v) ] in
+  check "top-level array of objects" {|[
+  { "v": 1 },
+  { "v": 2 }
+]|}
+    (J.List [ row 1; row 2 ]);
+  check "array of objects in an inline object"
+    {|{
+  "curves": [
+    { "k": "x", "points": [
+      { "v": 1 },
+      { "v": 2 }
+    ] }
+  ],
+  "sweep": { "ctx": 8, "points": [
+    { "v": 3 }
+  ] }
+}|}
+    (J.Object
+       [ ( "curves",
+           J.List
+             [ J.Object
+                 [ ("k", J.String "x"); ("points", J.List [ row 1; row 2 ]) ]
+             ] );
+         ( "sweep",
+           J.Object [ ("ctx", J.Int 8); ("points", J.List [ row 3 ]) ] ) ])
+
+let test_diag_json_golden () =
+  let e =
+    D.with_pass
+      (D.error ~code:"fp-budget" ~func:"sm" ~path:[ "i"; "store Y" ]
+         ~data:[ ("bound_ulps", "42"); ("interval", "[-1, 1]") ]
+         "bound \"42\" over\nbudget")
+      "fuse"
+  in
+  let w = D.warning ~code:"dyn-index" ~func:"take" "data-dependent" in
+  (* Errors first, whatever the input order. *)
+  Alcotest.(check string) "render_json"
+    {|{
+  "schema_version": 2,
+  "diagnostics": [
+    { "severity": "error", "code": "fp-budget", "func": "sm", "path": ["i", "store Y"], "message": "bound \"42\" over\nbudget", "pass": "fuse", "data": { "bound_ulps": "42", "interval": "[-1, 1]" } },
+    { "severity": "warning", "code": "dyn-index", "func": "take", "path": [], "message": "data-dependent", "pass": null, "data": {} }
+  ]
+}|}
+    (D.render_json [ w; e ]);
+  Alcotest.(check string) "render_json, no diagnostics"
+    "{\n  \"schema_version\": 2,\n  \"diagnostics\": []\n}" (D.render_json [])
+
 let () =
   Alcotest.run "analysis"
     [ ( "memory-safety",
@@ -509,7 +591,9 @@ let () =
           Alcotest.test_case "duplicate binding" `Quick
             test_wf_duplicate_binding ] );
       ( "diagnostics",
-        [ Alcotest.test_case "rendering" `Quick test_diag_rendering ] );
+        [ Alcotest.test_case "rendering" `Quick test_diag_rendering;
+          Alcotest.test_case "json golden" `Quick test_diag_json_golden ] );
+      ("json", [ Alcotest.test_case "layout" `Quick test_json_layout ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_random_schedules_safe ] )
     ]
